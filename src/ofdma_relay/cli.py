@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--eps", type=float)
         p.add_argument("--refill", action="store_true", default=None)
-        p.add_argument("--bp2-same-user", dest="bp2_same_user",
-                       action=argparse.BooleanOptionalAction, default=None)
         p.add_argument("--raw", action="store_true", default=None)
         p.add_argument("--out", help="output path (CSV or JSON)")
         if name == "sweep":
@@ -69,8 +67,7 @@ def _merge_spec(args: argparse.Namespace) -> ExperimentSpec:
         "protocols": tuple(args.protocol) if args.protocol else None,
         "K": args.K, "U": args.U, "d_km": args.d_km, "snr_db": args.snr_db,
         "trials": args.trials, "seed": args.seed, "eps": args.eps,
-        "refill": args.refill, "bp2_same_user": args.bp2_same_user,
-        "raw": args.raw, "out": args.out,
+        "refill": args.refill, "raw": args.raw, "out": args.out,
         "sweep": tuple(getattr(args, "sweep", None) or ()) or None,
     }
     values.update({k: v for k, v in overrides.items() if v is not None})

@@ -1,7 +1,8 @@
 """Scenario configuration shared by the channel generator and the solvers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -36,18 +37,26 @@ class SystemConfig:
         if len(self.weights) != self.U:
             raise ConfigError(
                 f"need {self.U} weights, got {len(self.weights)}")
-        if any(w <= 0 for w in self.weights):
-            raise ConfigError("all weights must be strictly positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.weights):
+            raise ConfigError("all weights must be finite and strictly positive")
         if not (1 <= self.taps <= self.K):
             raise ConfigError(f"taps must satisfy 1 <= taps <= K, got {self.taps}")
-        if self.d_km <= 0:
-            raise ConfigError("d_km must be positive")
-        if self.region_radius_km < 0:
-            raise ConfigError("region_radius_km must be nonnegative")
-        if self.center_km <= 0:
-            raise ConfigError("center_km must be positive")
-        if self.d_ref_km <= 0:
-            raise ConfigError("d_ref_km must be positive")
+        for name in ("d_km", "center_km", "d_ref_km"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {value}")
+        if not (math.isfinite(self.region_radius_km)
+                and self.region_radius_km >= 0):
+            raise ConfigError("region_radius_km must be finite and nonnegative")
+        try:
+            p_tot = self.p_tot
+        except OverflowError:
+            p_tot = math.inf
+        if not (math.isfinite(p_tot) and p_tot > 0):
+            raise ConfigError(
+                f"ptot_over_sigma2_db={self.ptot_over_sigma2_db} does not give "
+                "a finite positive p_tot")
 
     @property
     def p_tot(self) -> float:

@@ -11,7 +11,7 @@ the upper bracket end is feasible and carries a duality-gap certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -28,12 +28,16 @@ class Protocol(Enum):
     BENCHMARK1 = "bp1"         # relay only in the second slot
     BENCHMARK2 = "bp2"         # additionally fixed identity pairing
 
-    @classmethod
-    def parse(cls, name: str) -> "Protocol":
-        for p in cls:
-            if p.value == name:
-                return p
-        raise ValueError(f"unknown protocol {name!r}")
+    def link_gains(self, gains: GainTable, k, l, u) -> pair_gains.LinkGains:
+        """Gains of relay-aided pairs (k, l) serving user u.
+
+        The index arrays broadcast together. Without beamforming the source
+        is silent in the second slot, which the closed form sees as a
+        second-slot source gain of zero.
+        """
+        g_su_l = gains.g_su[l, u] if self is Protocol.PROPOSED else 0.0
+        return pair_gains.LinkGains(gains.g_sr[k], gains.g_su[k, u], g_su_l,
+                                    gains.g_ru[l, u])
 
 
 class SolveMode(Enum):
@@ -51,12 +55,15 @@ class InfeasibleAllocationError(ValueError):
 
 @dataclass(frozen=True)
 class PairGainTable:
-    """Effective gains for every (k, l, u) plus the per-slot direct gains."""
+    """Effective gains for every (k, l, u) plus the direct gains.
+
+    A direct transmission on subcarrier k sees g_su[k] in either slot, so one
+    (K, U) array serves both slots.
+    """
 
     protocol: Protocol
-    g_eff: np.ndarray     # (K, K, U)
-    direct_1: np.ndarray  # (K, U) first-slot direct gains
-    direct_2: np.ndarray  # (K, U) second-slot direct gains
+    g_eff: np.ndarray   # (K, K, U)
+    direct: np.ndarray  # (K, U)
 
     @property
     def K(self) -> int:
@@ -113,32 +120,10 @@ class SolveReport:
 
 def build_pair_gain_table(gains: GainTable, protocol: Protocol) -> PairGainTable:
     """Effective gain of every (k, l, u) combination under the protocol."""
-    g_sr = gains.g_sr[:, None, None]        # (K, 1, 1)
-    g_su_k = gains.g_su[:, None, :]         # (K, 1, U)
-    g_su_l = gains.g_su[None, :, :]         # (1, K, U)
-    g_ru_l = gains.g_ru[None, :, :]
-    if protocol is Protocol.PROPOSED:
-        second = g_su_l + g_ru_l
-    else:
-        second = np.broadcast_to(g_ru_l, g_su_l.shape)
-    cond = np.minimum(g_sr, second) > g_su_k
-    delta = g_sr - g_su_k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relayed = g_sr * second / (delta + second)
-    g_eff = np.where(cond, relayed, np.minimum(g_sr, g_su_k))
-    return PairGainTable(protocol=protocol, g_eff=np.ascontiguousarray(g_eff),
-                         direct_1=gains.g_su, direct_2=gains.g_su)
-
-
-def lambda_power(w: float, mu: float, g: float) -> float:
-    """Water-filling power [w*log2(e)/(2*mu) - 1/g]+ at price mu."""
-    if w <= 0:
-        raise ValueError(f"weight must be positive, got {w}")
-    if mu <= 0:
-        raise ValueError(f"multiplier must be positive, got {mu}")
-    if g <= 0:
-        return 0.0
-    return max(w * LOG2E / (2.0 * mu) - 1.0 / g, 0.0)
+    K, U = gains.g_su.shape
+    k, l, u = np.ix_(np.arange(K), np.arange(K), np.arange(U))
+    g_eff = pair_gains.effective_gain(protocol.link_gains(gains, k, l, u))
+    return PairGainTable(protocol=protocol, g_eff=g_eff, direct=gains.g_su)
 
 
 def mu_upper_bound(K: int, w_max: float, p_tot: float) -> float:
@@ -149,6 +134,7 @@ def mu_upper_bound(K: int, w_max: float, p_tot: float) -> float:
 
 
 def _lambda_array(w: np.ndarray, mu: float, g: np.ndarray) -> np.ndarray:
+    """Water-filling power [w*log2(e)/(2*mu) - 1/g]+ at price mu; 0 if g <= 0."""
     with np.errstate(divide="ignore"):
         inv = np.where(g > 0, 1.0 / np.where(g > 0, g, 1.0), np.inf)
     return np.maximum(w * LOG2E / (2.0 * mu) - inv, 0.0)
@@ -167,15 +153,14 @@ class LrpMetrics:
 
     The direct-mode score of a virtual pair (k, l) separates into a slot-1
     term depending on (k, a) and a slot-2 term depending on (l, b), so the
-    full (k, l, a, b) tensor is never formed.
+    full (k, l, a, b) tensor is never formed. Both slots see the same direct
+    gains, so one score array serves both terms.
     """
 
     a_pair: np.ndarray        # (K, K, U) relay-aided scores
     lam_pair: np.ndarray      # (K, K, U) matching pair powers
-    d1_term: np.ndarray       # (K, U) slot-1 direct scores
-    d1_lam: np.ndarray        # (K, U)
-    d2_term: np.ndarray       # (K, U) slot-2 direct scores
-    d2_lam: np.ndarray        # (K, U)
+    d_term: np.ndarray        # (K, U) direct scores, either slot
+    d_lam: np.ndarray         # (K, U)
     c: np.ndarray             # (K, K) best score per candidate pair
 
 
@@ -185,105 +170,91 @@ def lrp_metrics(table: PairGainTable, weights: np.ndarray,
         raise ValueError(f"multiplier must be positive, got {mu}")
     w = np.asarray(weights, dtype=float)
     a_pair, lam_pair = _metric_array(w[None, None, :], mu, table.g_eff)
-    d1_term, d1_lam = _metric_array(w[None, :], mu, table.direct_1)
-    d2_term, d2_lam = _metric_array(w[None, :], mu, table.direct_2)
-    best_pair = a_pair.max(axis=2)
-    direct_kl = d1_term.max(axis=1)[:, None] + d2_term.max(axis=1)[None, :]
-    c = np.maximum(best_pair, direct_kl)
-    return LrpMetrics(a_pair=a_pair, lam_pair=lam_pair,
-                      d1_term=d1_term, d1_lam=d1_lam,
-                      d2_term=d2_term, d2_lam=d2_lam, c=c)
+    d_term, d_lam = _metric_array(w[None, :], mu, table.direct)
+    d_best = d_term.max(axis=1)
+    c = np.maximum(a_pair.max(axis=2), d_best[:, None] + d_best[None, :])
+    return LrpMetrics(a_pair=a_pair, lam_pair=lam_pair, d_term=d_term,
+                      d_lam=d_lam, c=c)
 
 
 @dataclass
 class LrpOutcome:
-    """Inner-maximization solution at one multiplier, in compact form."""
+    """Inner-maximization solution at one multiplier, in compact form.
+
+    A subcarrier used for direct transmission, in either slot, carries its
+    best direct user at that user's power.
+    """
 
     mu: float
     perm: np.ndarray         # (K,) second-slot subcarrier matched to k
     relay_mask: np.ndarray   # (K,) True where the matched pair is relay-aided
     pair_user: np.ndarray    # (K,)
     pair_power: np.ndarray   # (K,) total pair power
-    d1_user: np.ndarray      # (K,) per first-slot subcarrier
-    d1_power: np.ndarray
-    d2_user: np.ndarray      # (K,) per second-slot subcarrier
-    d2_power: np.ndarray
+    d_user: np.ndarray       # (K,) direct user per subcarrier
+    d_power: np.ndarray      # (K,)
     l_value: float
     subgrad: float
 
 
-def solve_lrp(table: PairGainTable, weights, mu: float, p_tot: float,
-              bp2_same_user: bool = True) -> LrpOutcome:
+def solve_lrp(table: PairGainTable, weights, mu: float,
+              p_tot: float) -> LrpOutcome:
     """Maximize the Lagrangian at fixed mu; returns choice and subgradient."""
     w = np.asarray(weights, dtype=float)
     m = lrp_metrics(table, w, mu)
-    K = table.K
-    ks = np.arange(K)
-
+    ks = np.arange(table.K)
     if table.protocol is Protocol.BENCHMARK2:
-        perm = ks.copy()
-        pair_best = m.a_pair[ks, ks, :].max(axis=1)
-        pair_user = m.a_pair[ks, ks, :].argmax(axis=1)
-        if bp2_same_user:
-            combined = m.d1_term + m.d2_term
-            direct_best = combined.max(axis=1)
-            d1_user = combined.argmax(axis=1)
-            d2_user = d1_user.copy()
-        else:
-            direct_best = m.d1_term.max(axis=1) + m.d2_term.max(axis=1)
-            d1_user = m.d1_term.argmax(axis=1)
-            d2_user = m.d2_term.argmax(axis=1)
-        chosen = np.maximum(pair_best, direct_best)
+        perm = ks
     else:
-        d1_user = m.d1_term.argmax(axis=1)
-        d2_user = m.d2_term.argmax(axis=1)
         perm = np.asarray(solve_max_assignment(m.c).perm, dtype=int)
-        pair_best = m.a_pair[ks, perm, :].max(axis=1)
-        pair_user = m.a_pair[ks, perm, :].argmax(axis=1)
-        direct_best = m.d1_term.max(axis=1) + m.d2_term.max(axis=1)[perm]
-        chosen = np.maximum(pair_best, direct_best)
 
-    # Relay-aided wins ties; argmax already prefers the lowest user index.
-    relay_mask = pair_best >= direct_best
+    pair_scores = m.a_pair[ks, perm, :]
+    pair_best = pair_scores.max(axis=1)
+    pair_user = pair_scores.argmax(axis=1)
+    d_user = m.d_term.argmax(axis=1)
+    d_best = m.d_term.max(axis=1)
+    direct_best = d_best + d_best[perm]
+    # Direct mode wins ties, so a pair that would carry no power is not
+    # reported as relay-aided; argmax already prefers the lowest user index.
+    relay_mask = pair_best > direct_best
     pair_power = m.lam_pair[ks, perm, pair_user]
-    d1_power = m.d1_lam[ks, d1_user]
-    d2_power = m.d2_lam[ks, d2_user]
+    d_power = m.d_lam[ks, d_user]
 
     total = float(np.where(relay_mask, pair_power,
-                           d1_power + d2_power[perm]).sum())
-    l_value = mu * p_tot + float(chosen.sum())
+                           d_power + d_power[perm]).sum())
+    l_value = mu * p_tot + float(np.maximum(pair_best, direct_best).sum())
     return LrpOutcome(mu=mu, perm=perm, relay_mask=relay_mask,
                       pair_user=pair_user, pair_power=pair_power,
-                      d1_user=d1_user, d1_power=d1_power,
-                      d2_user=d2_user, d2_power=d2_power,
+                      d_user=d_user, d_power=d_power,
                       l_value=l_value, subgrad=p_tot - total)
+
+
+def pair_assignments(gains: GainTable, protocol: Protocol, k: np.ndarray,
+                     l: np.ndarray, u: np.ndarray,
+                     power: np.ndarray) -> list[PairAssignment]:
+    """Relay-aided pairs (k[i], l[i]) for users u[i], each split optimally."""
+    s = pair_gains.optimal_split(protocol.link_gains(gains, k, l, u), power)
+    return [PairAssignment(*x) for x in zip(
+        k.tolist(), l.tolist(), u.tolist(), s.p_s1.tolist(), s.p_s2.tolist(),
+        s.p_r.tolist())]
+
+
+def _directs(outcome: LrpOutcome,
+             subcarriers: np.ndarray) -> list[DirectAssignment]:
+    return [DirectAssignment(*x) for x in zip(
+        subcarriers.tolist(), outcome.d_user[subcarriers].tolist(),
+        outcome.d_power[subcarriers].tolist())]
 
 
 def _materialize(outcome: LrpOutcome, gains: GainTable,
                  protocol: Protocol) -> Allocation:
     """Turn a compact LRP solution into an explicit feasible allocation."""
-    split = (pair_gains.optimal_split_proposed
-             if protocol is Protocol.PROPOSED
-             else pair_gains.optimal_split_benchmark)
-    pairs: list[PairAssignment] = []
-    directs_1: list[DirectAssignment] = []
-    directs_2: list[DirectAssignment] = []
-    for k in range(outcome.perm.size):
-        l = int(outcome.perm[k])
-        if outcome.relay_mask[k]:
-            u = int(outcome.pair_user[k])
-            g = pair_gains.LinkGains(float(gains.g_sr[k]),
-                                     float(gains.g_su[k, u]),
-                                     float(gains.g_su[l, u]),
-                                     float(gains.g_ru[l, u]))
-            s = split(g, float(outcome.pair_power[k]))
-            pairs.append(PairAssignment(k, l, u, s.p_s1, s.p_s2, s.p_r))
-        else:
-            directs_1.append(DirectAssignment(k, int(outcome.d1_user[k]),
-                                              float(outcome.d1_power[k])))
-            directs_2.append(DirectAssignment(l, int(outcome.d2_user[l]),
-                                              float(outcome.d2_power[l])))
-    return Allocation(pairs=pairs, directs_1=directs_1, directs_2=directs_2)
+    relay = outcome.relay_mask
+    k = np.flatnonzero(relay)
+    pairs = pair_assignments(gains, protocol, k, outcome.perm[k],
+                             outcome.pair_user[k], outcome.pair_power[k])
+    direct = np.flatnonzero(~relay)
+    return Allocation(pairs=pairs, directs_1=_directs(outcome, direct),
+                      directs_2=_directs(outcome, outcome.perm[direct]))
 
 
 def evaluate_wsr(alloc: Allocation, gains: GainTable, weights,
@@ -291,116 +262,95 @@ def evaluate_wsr(alloc: Allocation, gains: GainTable, weights,
     """Audit an allocation and recompute its weighted sum rate from scratch."""
     w = np.asarray(weights, dtype=float)
     K = gains.g_sr.size
+    pairs = alloc.pairs
+    directs = alloc.directs_1 + alloc.directs_2
 
-    slot1 = sorted([p.k for p in alloc.pairs]
+    slot1 = sorted([p.k for p in pairs]
                    + [d.subcarrier for d in alloc.directs_1])
     if slot1 != list(range(K)):
         raise InfeasibleAllocationError(
             "ofdma-slot1", f"first-slot subcarrier cover is {slot1}")
-    slot2 = sorted([p.l for p in alloc.pairs]
+    slot2 = sorted([p.l for p in pairs]
                    + [d.subcarrier for d in alloc.directs_2])
     if slot2 != list(range(K)):
         raise InfeasibleAllocationError(
             "ofdma-slot2", f"second-slot subcarrier cover is {slot2}")
 
-    powers = ([p.p_s1 for p in alloc.pairs] + [p.p_s2 for p in alloc.pairs]
-              + [p.p_r for p in alloc.pairs]
-              + [d.power for d in alloc.directs_1 + alloc.directs_2])
-    if any(x < 0 for x in powers):
+    k, l, u = (np.array([(p.k, p.l, p.user) for p in pairs],
+                        dtype=int).reshape(-1, 3).T)
+    p_s1, p_s2, p_r = (np.array([(p.p_s1, p.p_s2, p.p_r) for p in pairs],
+                                dtype=float).reshape(-1, 3).T)
+    d_sc, d_user = (np.array([(d.subcarrier, d.user) for d in directs],
+                             dtype=int).reshape(-1, 2).T)
+    d_power = np.array([d.power for d in directs], dtype=float)
+    powers = np.concatenate([p_s1, p_s2, p_r, d_power])
+    if not np.all(powers >= 0):
         raise InfeasibleAllocationError(
-            "power-nonnegative", f"minimum power is {min(powers)}")
+            "power-nonnegative", f"minimum power is {powers.min()}")
     total = alloc.total_power()
     if total > p_tot * (1.0 + 1e-9):
         raise InfeasibleAllocationError(
             "power-budget", f"allocated {total} > budget {p_tot}")
 
-    gain_fn = (pair_gains.effective_gain_proposed
-               if protocol is Protocol.PROPOSED
-               else pair_gains.effective_gain_benchmark)
-    wsr = 0.0
-    for p in alloc.pairs:
-        g = pair_gains.LinkGains(float(gains.g_sr[p.k]),
-                                 float(gains.g_su[p.k, p.user]),
-                                 float(gains.g_su[p.l, p.user]),
-                                 float(gains.g_ru[p.l, p.user]))
-        g_eff = gain_fn(g)
-        target = g_eff * p.total
-        achieved = min(g.g_sr * p.p_s1,
-                       pair_gains.snr_relay_aided(g, p.p_s1, p.p_s2, p.p_r))
-        if abs(achieved - target) > max(1e-9 * target, 1e-12):
-            raise InfeasibleAllocationError(
-                "pair-split",
-                f"pair ({p.k},{p.l}) reaches SNR {achieved}, expected {target}")
-        wsr += w[p.user] * pair_gains.rate(target)
-    for d in alloc.directs_1:
-        wsr += w[d.user] * pair_gains.rate(float(gains.g_su[d.subcarrier, d.user])
-                                           * d.power)
-    for d in alloc.directs_2:
-        wsr += w[d.user] * pair_gains.rate(float(gains.g_su[d.subcarrier, d.user])
-                                           * d.power)
-    return wsr
+    g = protocol.link_gains(gains, k, l, u)
+    target = pair_gains.effective_gain(g) * (p_s1 + p_s2 + p_r)
+    achieved = np.minimum(g.g_sr * p_s1,
+                          pair_gains.snr_relay_aided(g, p_s1, p_s2, p_r))
+    off = np.flatnonzero(np.abs(achieved - target)
+                         > np.maximum(1e-9 * target, 1e-12))
+    if off.size:
+        i = off[0]
+        raise InfeasibleAllocationError(
+            "pair-split", f"pair ({k[i]},{l[i]}) reaches SNR {achieved[i]}, "
+            f"expected {target[i]}")
+    return float((w[u] * pair_gains.rate(target)).sum()
+                 + (w[d_user] * pair_gains.rate(gains.g_su[d_sc, d_user]
+                                                * d_power)).sum())
+
+
+def _water_level(w: np.ndarray, g: np.ndarray, p_tot: float) -> float:
+    """The mu at which the powers _lambda_array(w, mu, g) sum to p_tot.
+
+    Channel i is active while mu < w_i*g_i*log2(e)/2. Taking channels in
+    decreasing order of that threshold, the level with the first n active
+    is mu_n = (log2(e)/2)*sum(w) / (p_tot + sum(1/g)); the answer is the
+    largest n whose mu_n lies below its own threshold. Needs some g > 0.
+    """
+    live = g > 0
+    w, g = w[live], g[live]
+    order = np.argsort(-(w * g), kind="stable")
+    w, g = w[order], g[order]
+    mu = 0.5 * LOG2E * np.cumsum(w) / (p_tot + np.cumsum(1.0 / g))
+    return float(mu[np.flatnonzero(mu < 0.5 * LOG2E * w * g)[-1]])
 
 
 def _refill(outcome: LrpOutcome, table: PairGainTable, weights,
             p_tot: float) -> LrpOutcome:
     """Spend residual budget by water-filling at the fixed assignment."""
     w = np.asarray(weights, dtype=float)
-    K = table.K
-    ks = np.arange(K)
-    ch_w, ch_g = [], []
-    for k in range(K):
-        l = int(outcome.perm[k])
-        if outcome.relay_mask[k]:
-            u = int(outcome.pair_user[k])
-            ch_w.append(w[u])
-            ch_g.append(float(table.g_eff[k, l, u]))
-        else:
-            ch_w.append(w[int(outcome.d1_user[k])])
-            ch_g.append(float(table.direct_1[k, int(outcome.d1_user[k])]))
-            ch_w.append(w[int(outcome.d2_user[l])])
-            ch_g.append(float(table.direct_2[l, int(outcome.d2_user[l])]))
-    ch_w = np.asarray(ch_w)
-    ch_g = np.asarray(ch_g)
+    ks = np.arange(table.K)
+    relay = outcome.relay_mask
+    pair_w = w[outcome.pair_user]
+    pair_g = table.g_eff[ks, outcome.perm, outcome.pair_user]
+    d_w = w[outcome.d_user]
+    d_g = table.direct[ks, outcome.d_user]
+    # The channels in use: each relay-aided pair, and each direct row's
+    # first-slot subcarrier k and second-slot subcarrier perm[k].
+    direct = np.flatnonzero(~relay)
+    used = np.concatenate([direct, outcome.perm[direct]])
+    ch_w = np.concatenate([pair_w[relay], d_w[used]])
+    ch_g = np.concatenate([pair_g[relay], d_g[used]])
     if not np.any(ch_g > 0):
         return outcome
-
-    def spent(mu):
-        return float(_lambda_array(ch_w, mu, ch_g).sum())
-
-    hi = float(ch_w.max()) * LOG2E * len(ch_w) / (2.0 * p_tot)
-    while spent(hi) > p_tot:
-        hi *= 2.0
-    lo = hi
-    while spent(lo) < p_tot:
-        lo /= 2.0
-        if lo < 1e-300:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if spent(mid) > p_tot:
-            lo = mid
-        else:
-            hi = mid
-    mu = hi
-    pair_power = np.where(
-        outcome.relay_mask,
-        _lambda_array(w[outcome.pair_user], mu,
-                      table.g_eff[ks, outcome.perm, outcome.pair_user]), 0.0)
-    d1_power = _lambda_array(w[outcome.d1_user], mu,
-                             table.direct_1[ks, outcome.d1_user])
-    d2_power = _lambda_array(w[outcome.d2_user], mu,
-                             table.direct_2[ks, outcome.d2_user])
-    return LrpOutcome(mu=outcome.mu, perm=outcome.perm,
-                      relay_mask=outcome.relay_mask,
-                      pair_user=outcome.pair_user, pair_power=pair_power,
-                      d1_user=outcome.d1_user, d1_power=d1_power,
-                      d2_user=outcome.d2_user, d2_power=d2_power,
-                      l_value=outcome.l_value, subgrad=outcome.subgrad)
+    mu = _water_level(ch_w, ch_g, p_tot)
+    return replace(
+        outcome,
+        pair_power=np.where(relay, _lambda_array(pair_w, mu, pair_g), 0.0),
+        d_power=_lambda_array(d_w, mu, d_g))
 
 
 def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
-          eps: float = 1e-6, bp2_same_user: bool = True,
-          refill: bool = False) -> tuple[Allocation, SolveReport]:
+          eps: float = 1e-6, refill: bool = False) -> tuple[Allocation, SolveReport]:
     """Full bisection solve; returns a feasible allocation and its report."""
     if p_tot <= 0:
         raise ValueError(f"p_tot must be positive, got {p_tot}")
@@ -422,7 +372,7 @@ def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
 
     while mu_hi - mu_lo > eps:
         mu_mid = 0.5 * (mu_lo + mu_hi)
-        outcome = solve_lrp(table, w, mu_mid, p_tot, bp2_same_user)
+        outcome = solve_lrp(table, w, mu_mid, p_tot)
         iterations += 1
         trace.append((mu_mid, outcome.subgrad))
         if abs(outcome.subgrad) <= zero_tol:
@@ -437,7 +387,7 @@ def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
         final = exact
         mode = SolveMode.EXACT_STATIONARY
     else:
-        final = solve_lrp(table, w, mu_hi, p_tot, bp2_same_user)
+        final = solve_lrp(table, w, mu_hi, p_tot)
         mode = SolveMode.APPROX_UPPER_BOUND
     mu_final = final.mu
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,6 @@ class ExperimentSpec:
     seed: int = 0
     eps: float = 1e-6
     refill: bool = False
-    bp2_same_user: bool = True
     raw: bool = False
     out: str | None = None
     center_km: float = 1.0
@@ -63,11 +63,17 @@ class ExperimentSpec:
             raise ConfigError("at least one protocol is required")
         for name in self.protocols:
             try:
-                Protocol.parse(name)
+                Protocol(name)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         if self.kind == "sweep" and not self.sweep:
             raise ConfigError("sweep experiments need a nonempty d list")
+        for name, value in (("snr_db", self.snr_db), ("d_km", self.d_km),
+                            *(("sweep", d) for d in self.sweep)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
 
 
 @dataclass
@@ -101,9 +107,8 @@ def _solve_trial(cfg: SystemConfig, rng: np.random.Generator,
     records = []
     for name in spec.protocols:
         t0 = time.perf_counter()
-        _, report = solve(gains, cfg.weights, cfg.p_tot, Protocol.parse(name),
-                          eps=spec.eps, bp2_same_user=spec.bp2_same_user,
-                          refill=spec.refill)
+        _, report = solve(gains, cfg.weights, cfg.p_tot, Protocol(name),
+                          eps=spec.eps, refill=spec.refill)
         wall = (time.perf_counter() - t0) * 1e3
         records.append(TrialRecord(
             seed=cfg.seed, protocol=name, d_km=cfg.d_km, K=cfg.K,
@@ -188,9 +193,8 @@ def run_single(spec: ExperimentSpec) -> dict:
                     "ptot_db": cfg.ptot_over_sigma2_db,
                     "weights": list(cfg.weights), "reports": {}}
     for name in spec.protocols:
-        _, report = solve(gains, cfg.weights, cfg.p_tot, Protocol.parse(name),
-                          eps=spec.eps, bp2_same_user=spec.bp2_same_user,
-                          refill=spec.refill)
+        _, report = solve(gains, cfg.weights, cfg.p_tot, Protocol(name),
+                          eps=spec.eps, refill=spec.refill)
         result["reports"][name] = {
             "wsr": report.wsr, "mode": report.mode.value,
             "delta": report.delta, "n_sp": report.n_sp,
@@ -221,11 +225,10 @@ def run_validate(spec: ExperimentSpec) -> dict:
                            region_radius_km=spec.region_radius_km)
         _, gains = build_gain_table(cfg, rng)
         name = spec.protocols[i % len(spec.protocols)]
-        protocol = Protocol.parse(name)
+        protocol = Protocol(name)
         alloc, report = solve(gains, cfg.weights, cfg.p_tot, protocol,
-                              eps=spec.eps, bp2_same_user=spec.bp2_same_user)
-        ref = oracle_solve(gains, cfg.weights, cfg.p_tot, protocol,
-                           bp2_same_user=spec.bp2_same_user)
+                              eps=spec.eps)
+        ref = oracle_solve(gains, cfg.weights, cfg.p_tot, protocol)
         lower = ref.wsr - max(report.delta * ref.wsr, 1e-6)
         upper = ref.wsr + 1e-6
         passed = lower <= report.wsr <= upper
@@ -263,18 +266,6 @@ def run_validate(spec: ExperimentSpec) -> dict:
     if spec.out:
         _dump_json(Path(spec.out), verdict)
     return verdict
-
-
-def run(spec: ExperimentSpec):
-    if spec.kind == "gap-pdf":
-        return run_gap_pdf(spec)
-    if spec.kind == "sweep":
-        return run_sweep_distance(spec)
-    if spec.kind == "solve":
-        return run_single(spec)
-    if spec.kind == "validate":
-        return run_validate(spec)
-    raise ConfigError(f"unknown experiment kind {spec.kind!r}")
 
 
 def _open_for_write(path: Path):

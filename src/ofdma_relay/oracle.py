@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from . import pair_gains
 from .channel import GainTable
-from .dual_solver import (Allocation, DirectAssignment, PairAssignment,
-                          Protocol)
+from .dual_solver import (Allocation, DirectAssignment, Protocol,
+                          build_pair_gain_table, pair_assignments)
 
 MAX_K = 5
 MAX_U = 3
@@ -46,9 +48,8 @@ def _check_size(K: int, U: int) -> None:
             f"instance K={K}, U={U} exceeds guard K<={MAX_K}, U<={MAX_U}")
 
 
-def enumerate_configurations(K: int, U: int, protocol: Protocol,
-                             bp2_same_user: bool = True
-                             ) -> Iterator[Configuration]:
+def enumerate_configurations(K: int, U: int,
+                             protocol: Protocol) -> Iterator[Configuration]:
     """Every discrete mode/pairing/user structure for the protocol."""
     _check_size(K, U)
     subcarriers = range(K)
@@ -56,21 +57,16 @@ def enumerate_configurations(K: int, U: int, protocol: Protocol,
 
     if protocol is Protocol.BENCHMARK2:
         # Identity pairing: per subcarrier either a relay-aided diagonal pair
-        # or two direct transmissions (same user when bp2_same_user).
-        if bp2_same_user:
-            direct_choices = [(u, u) for u in users]
-        else:
-            direct_choices = list(itertools.product(users, users))
-        per_k = ([("pair", u) for u in users]
-                 + [("direct", ab) for ab in direct_choices])
+        # or one user served directly in both slots.
+        per_k = [(mode, u) for mode in ("pair", "direct") for u in users]
         for combo in itertools.product(per_k, repeat=K):
             pairs, d1, d2 = [], [], []
-            for k, (mode, x) in enumerate(combo):
+            for k, (mode, u) in enumerate(combo):
                 if mode == "pair":
-                    pairs.append((k, k, x))
+                    pairs.append((k, k, u))
                 else:
-                    d1.append((k, x[0]))
-                    d2.append((k, x[1]))
+                    d1.append((k, u))
+                    d2.append((k, u))
             yield Configuration(tuple(pairs), tuple(d1), tuple(d2))
         return
 
@@ -123,56 +119,38 @@ def _water_fill(ws: list[float], gs: list[float],
     return xs
 
 
-def oracle_solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
-                 bp2_same_user: bool = True) -> OracleResult:
+def oracle_solve(gains: GainTable, weights, p_tot: float,
+                 protocol: Protocol) -> OracleResult:
     """Globally optimal WSR by enumeration plus exact per-config water-filling."""
     K, U = gains.g_su.shape
     _check_size(K, U)
     w = [float(x) for x in weights]
-    gain_fn = (pair_gains.effective_gain_proposed
-               if protocol is Protocol.PROPOSED
-               else pair_gains.effective_gain_benchmark)
+    g_eff = build_pair_gain_table(gains, protocol).g_eff
 
     best_wsr = -1.0
     best: tuple[Configuration, list[float]] | None = None
     count = 0
-    for config in enumerate_configurations(K, U, protocol, bp2_same_user):
+    for config in enumerate_configurations(K, U, protocol):
         count += 1
         ws, gs = [], []
         for k, l, u in config.pairs:
-            g = pair_gains.LinkGains(float(gains.g_sr[k]),
-                                     float(gains.g_su[k, u]),
-                                     float(gains.g_su[l, u]),
-                                     float(gains.g_ru[l, u]))
             ws.append(w[u])
-            gs.append(gain_fn(g))
-        for k, a in config.direct_1:
+            gs.append(float(g_eff[k, l, u]))
+        for k, a in config.direct_1 + config.direct_2:
             ws.append(w[a])
             gs.append(float(gains.g_su[k, a]))
-        for l, b in config.direct_2:
-            ws.append(w[b])
-            gs.append(float(gains.g_su[l, b]))
         xs = _water_fill(ws, gs, p_tot)
-        wsr = sum(wi * pair_gains.rate(gi * xi)
-                  for wi, gi, xi in zip(ws, gs, xs))
+        wsr = float(np.dot(ws, pair_gains.rate(np.multiply(gs, xs))))
         if wsr > best_wsr:
             best_wsr = wsr
             best = (config, xs)
 
     assert best is not None
     config, xs = best
-    split = (pair_gains.optimal_split_proposed
-             if protocol is Protocol.PROPOSED
-             else pair_gains.optimal_split_benchmark)
-    pairs = []
-    for i, (k, l, u) in enumerate(config.pairs):
-        g = pair_gains.LinkGains(float(gains.g_sr[k]),
-                                 float(gains.g_su[k, u]),
-                                 float(gains.g_su[l, u]),
-                                 float(gains.g_ru[l, u]))
-        s = split(g, xs[i])
-        pairs.append(PairAssignment(k, l, u, s.p_s1, s.p_s2, s.p_r))
     n_pairs = len(config.pairs)
+    k, l, u = np.array(config.pairs, dtype=int).reshape(-1, 3).T
+    pairs = pair_assignments(gains, protocol, k, l, u,
+                             np.array(xs[:n_pairs]))
     directs_1 = [DirectAssignment(k, a, xs[n_pairs + i])
                  for i, (k, a) in enumerate(config.direct_1)]
     off = n_pairs + len(config.direct_1)

@@ -21,6 +21,12 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(K=0), dict(U=0, weights=()), dict(weights=(1.0, -1.0)),
         dict(weights=(1.0,)), dict(taps=9), dict(taps=0), dict(d_km=0.0),
+        dict(d_km=float("nan")), dict(d_km=float("inf")),
+        dict(weights=(1.0, float("nan"))), dict(weights=(1.0, float("inf"))),
+        dict(center_km=float("nan")), dict(region_radius_km=float("inf")),
+        dict(ptot_over_sigma2_db=float("nan")),
+        dict(ptot_over_sigma2_db=float("inf")),
+        dict(ptot_over_sigma2_db=4000.0), dict(ptot_over_sigma2_db=-4000.0),
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):

@@ -6,12 +6,14 @@ from scipy.optimize import minimize_scalar
 
 from ofdma_relay.channel import GainTable, build_gain_table
 from ofdma_relay.config import SystemConfig
+from ofdma_relay.harness import _draw_weights
 from ofdma_relay.dual_solver import (LOG2E, InfeasibleAllocationError,
                                      PairGainTable, Protocol, SolveMode,
+                                     _lambda_array, _refill,
                                      build_pair_gain_table, evaluate_wsr,
-                                     lambda_power, lrp_metrics,
-                                     mu_upper_bound, solve, solve_lrp)
-from ofdma_relay.oracle import enumerate_configurations
+                                     lrp_metrics, mu_upper_bound, solve,
+                                     solve_lrp)
+from ofdma_relay.oracle import _water_fill, enumerate_configurations
 
 
 def random_gains(seed: int, K: int, U: int, d_km: float = 0.5,
@@ -38,17 +40,13 @@ def channel_score(w: float, g: float, mu: float) -> float:
 
 class TestWaterFilling:
     def test_lambda_power_value(self):
-        assert lambda_power(1.0, LOG2E / 2.0, 2.0) == pytest.approx(0.5)
+        lam = _lambda_array(np.array([1.0, 2.0]), LOG2E / 2.0,
+                            np.array([2.0, 4.0]))
+        assert lam == pytest.approx([0.5, 1.75])
 
     def test_lambda_power_clips_at_zero(self):
-        assert lambda_power(1.0, 100.0, 0.1) == 0.0
-        assert lambda_power(1.0, 1.0, 0.0) == 0.0
-
-    def test_lambda_power_validates(self):
-        with pytest.raises(ValueError):
-            lambda_power(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            lambda_power(1.0, 0.0, 1.0)
+        assert _lambda_array(1.0, 100.0, np.array([0.1])) == 0.0
+        assert _lambda_array(1.0, 1.0, np.array([0.0])) == 0.0
 
     def test_mu_upper_bound_value(self):
         assert mu_upper_bound(8, 1.2, 10.0) == pytest.approx(
@@ -74,24 +72,35 @@ class TestPairGainTable:
     def test_direct_gains_are_first_slot_gains(self):
         _, gains = random_gains(1, K=4, U=2)
         table = build_pair_gain_table(gains, Protocol.PROPOSED)
-        np.testing.assert_array_equal(table.direct_1, gains.g_su)
-        np.testing.assert_array_equal(table.direct_2, gains.g_su)
+        np.testing.assert_array_equal(table.direct, gains.g_su)
 
     def test_matches_scalar_closed_form(self):
-        from ofdma_relay.pair_gains import (LinkGains,
-                                            effective_gain_benchmark,
-                                            effective_gain_proposed)
+        # G_eff = max over the first-slot power share a in [0, 1] of
+        # min(g_sr*a, g_su_k*a + b*(1 - a)), with second-hop gain b. The
+        # minimum of two lines is concave, so its maximum sits at a = 0,
+        # a = 1 or where the lines cross, a = b / (g_sr - g_su_k + b).
+        def derived(g_sr, g_su_k, b):
+            def value(a):
+                return min(g_sr * a, g_su_k * a + b * (1.0 - a))
+            shares = [0.0, 1.0]
+            if g_sr - g_su_k + b > 0:
+                cross = b / (g_sr - g_su_k + b)
+                if 0.0 <= cross <= 1.0:
+                    shares.append(cross)
+            return max(value(a) for a in shares)
+
         _, gains = random_gains(2, K=4, U=2)
-        for protocol, fn in ((Protocol.PROPOSED, effective_gain_proposed),
-                             (Protocol.BENCHMARK1, effective_gain_benchmark)):
+        for protocol in Protocol:
             table = build_pair_gain_table(gains, protocol)
             for k in range(4):
                 for l in range(4):
                     for u in range(2):
-                        g = LinkGains(gains.g_sr[k], gains.g_su[k, u],
-                                      gains.g_su[l, u], gains.g_ru[l, u])
+                        b = gains.g_ru[l, u]
+                        if protocol is Protocol.PROPOSED:
+                            b += gains.g_su[l, u]
                         assert table.g_eff[k, l, u] == pytest.approx(
-                            fn(g), rel=1e-12)
+                            derived(gains.g_sr[k], gains.g_su[k, u], b),
+                            rel=1e-12)
 
 
 class TestLrpMetrics:
@@ -101,8 +110,7 @@ class TestLrpMetrics:
         mu = 0.2
         table = PairGainTable(protocol=Protocol.PROPOSED,
                               g_eff=np.full((1, 1, 1), 2.5),
-                              direct_1=np.ones((1, 1)),
-                              direct_2=np.ones((1, 1)))
+                              direct=np.ones((1, 1)))
         m = lrp_metrics(table, np.array([1.0]), mu)
         lam = LOG2E / (2 * mu) - 1 / 2.5
         assert m.lam_pair[0, 0, 0] == pytest.approx(lam)
@@ -111,7 +119,7 @@ class TestLrpMetrics:
         assert m.a_pair[0, 0, 0] == pytest.approx(
             channel_score(1.0, 2.5, mu), abs=1e-9)
         b = 2 * channel_score(1.0, 1.0, mu)
-        assert m.d1_term[0, 0] + m.d2_term[0, 0] == pytest.approx(b, abs=1e-9)
+        assert 2 * m.d_term[0, 0] == pytest.approx(b, abs=1e-9)
         assert m.c[0, 0] == pytest.approx(m.a_pair[0, 0, 0])
         assert m.a_pair[0, 0, 0] > b
 
@@ -123,7 +131,7 @@ class TestLrpMetrics:
             m = lrp_metrics(table, w, mu)
             for k in range(3):
                 for u in range(2):
-                    assert m.d1_term[k, u] == pytest.approx(
+                    assert m.d_term[k, u] == pytest.approx(
                         channel_score(w[u], gains.g_su[k, u], mu), abs=1e-8)
                 for l in range(3):
                     for u in range(2):
@@ -139,9 +147,9 @@ class TestLrpMetrics:
         K, U = 4, 2
         for k in range(K):
             for l in range(K):
-                full = max(m.d1_term[k, a] + m.d2_term[l, b]
+                full = max(m.d_term[k, a] + m.d_term[l, b]
                            for a in range(U) for b in range(U))
-                sep = m.d1_term[k].max() + m.d2_term[l].max()
+                sep = m.d_term[k].max() + m.d_term[l].max()
                 assert sep == pytest.approx(full, rel=1e-14)
                 assert m.c[k, l] == pytest.approx(
                     max(m.a_pair[k, l].max(), sep), rel=1e-14)
@@ -177,8 +185,8 @@ class TestSolveLrp:
         cfg, gains = random_gains(8, K=2, U=1)
         table = build_pair_gain_table(gains, protocol)
         w = np.asarray(cfg.weights)
-        gain_lookup = {"pair": table.g_eff, "d1": table.direct_1,
-                       "d2": table.direct_2}
+        gain_lookup = {"pair": table.g_eff, "d1": gains.g_su,
+                       "d2": gains.g_su}
         for mu in (0.02, 0.2, 2.0):
             best = -math.inf
             for config in enumerate_configurations(2, 1, protocol):
@@ -200,15 +208,12 @@ class TestSolveLrp:
         out = solve_lrp(table, cfg.weights, 0.2, cfg.p_tot)
         np.testing.assert_array_equal(out.perm, np.arange(5))
 
-    def test_bp2_same_user_ties_slots_together(self):
-        cfg, gains = random_gains(10, K=5, U=2)
-        table = build_pair_gain_table(gains, Protocol.BENCHMARK2)
-        tied = solve_lrp(table, cfg.weights, 0.2, cfg.p_tot,
-                         bp2_same_user=True)
-        np.testing.assert_array_equal(tied.d1_user, tied.d2_user)
-        free = solve_lrp(table, cfg.weights, 0.2, cfg.p_tot,
-                         bp2_same_user=False)
-        assert free.l_value >= tied.l_value - 1e-12
+    def test_bp2_serves_one_user_on_both_direct_slots(self):
+        for seed in range(10, 15):
+            cfg, gains = random_gains(seed, K=8, U=3)
+            alloc, _ = solve(gains, cfg.weights, cfg.p_tot,
+                             Protocol.BENCHMARK2)
+            assert alloc.directs_1 == alloc.directs_2
 
 
 class TestSolve:
@@ -288,6 +293,48 @@ class TestSolve:
                                   Protocol.PROPOSED, refill=True)
             assert filled.wsr >= plain.wsr - 1e-9
             assert alloc.total_power() == pytest.approx(cfg.p_tot, rel=1e-6)
+
+    def test_pairs_carry_power(self):
+        # K=64 at 0 dB, drawn as run_single draws seed 1: many rows score 0
+        # both ways, and such ties must not come back as empty pairs.
+        rng = np.random.default_rng(1)
+        cfg = SystemConfig(K=64, U=5, d_km=0.5, ptot_over_sigma2_db=0.0,
+                           weights=_draw_weights(rng, 5), seed=1, taps=6)
+        _, gains = build_gain_table(cfg, rng)
+        for protocol in Protocol:
+            alloc, report = solve(gains, cfg.weights, cfg.p_tot, protocol)
+            assert report.n_sp == len(alloc.pairs) > 0
+            assert all(p.total > 0 for p in alloc.pairs)
+
+    def test_refill_matches_oracle_water_fill(self):
+        # Subcarriers 0 and 1 have no source link, so the channel list holds
+        # dead (g = 0) direct channels.
+        for seed in range(5):
+            cfg, gains = random_gains(seed + 70, K=6, U=2)
+            dead = np.arange(6) < 2
+            gains = GainTable(g_sr=np.where(dead, 0.0, gains.g_sr),
+                              g_su=np.where(dead[:, None], 0.0, gains.g_su),
+                              g_ru=gains.g_ru)
+            table = build_pair_gain_table(gains, Protocol.PROPOSED)
+            w = np.asarray(cfg.weights)
+            mu = mu_upper_bound(6, float(w.max()), cfg.p_tot)
+            out = _refill(solve_lrp(table, w, mu, cfg.p_tot), table, w,
+                          cfg.p_tot)
+            ws, gs, xs = [], [], []
+            for k in range(6):
+                l, u = out.perm[k], out.pair_user[k]
+                if out.relay_mask[k]:
+                    ws.append(w[u])
+                    gs.append(table.g_eff[k, l, u])
+                    xs.append(out.pair_power[k])
+                    continue
+                for sc in (k, l):
+                    ws.append(w[out.d_user[sc]])
+                    gs.append(gains.g_su[sc, out.d_user[sc]])
+                    xs.append(out.d_power[sc])
+            assert 0.0 in gs
+            assert xs == pytest.approx(_water_fill(ws, gs, cfg.p_tot),
+                                       rel=1e-9, abs=1e-12 * cfg.p_tot)
 
     def test_input_validation(self):
         cfg, gains = random_gains(15, K=4, U=2)

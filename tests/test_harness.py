@@ -18,6 +18,11 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("kw", [
         dict(trials=0), dict(protocols=()), dict(protocols=("nope",)),
         dict(kind="sweep"),
+        dict(snr_db=float("nan")), dict(snr_db=float("inf")),
+        dict(d_km=float("nan")), dict(d_km=float("-inf")),
+        dict(kind="sweep", sweep=(0.3, float("nan"))),
+        dict(eps=float("nan")), dict(eps=float("inf")), dict(eps=0.0),
+        dict(eps=-1e-6),
     ])
     def test_invalid_rejected(self, kw):
         base = dict(kind="gap-pdf")
@@ -152,6 +157,14 @@ class TestCli:
         assert main(["solve", "--config", str(cfg), "--k", "4"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["K"] == 4 and out["U"] == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--snr-db", "nan"], ["--snr-db", "inf"], ["--snr-db", "4000"],
+        ["--snr-db", "-4000"], ["--d-km", "nan"], ["--d-km", "inf"],
+        ["--eps", "nan"],
+    ])
+    def test_nonfinite_or_overflowing_input_is_config_error(self, flags):
+        assert main(["solve", "--k", "8", *flags]) == 2
 
     def test_sweep_requires_distances(self):
         assert main(["sweep", "--trials", "1"]) == 2

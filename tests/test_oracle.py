@@ -35,15 +35,14 @@ class TestEnumeration:
         assert expected_count(1, 1) == 2
         assert expected_count(2, 1) == 7
 
-    @pytest.mark.parametrize("same_user,expect", [(True, 4 ** 3),
-                                                  (False, 6 ** 3)])
-    def test_identity_pairing_count(self, same_user, expect):
-        configs = list(enumerate_configurations(
-            3, 2, Protocol.BENCHMARK2, bp2_same_user=same_user))
-        # Per subcarrier: U pair choices plus U (or U^2) direct choices.
-        assert len(configs) == expect
+    def test_identity_pairing_count(self):
+        configs = list(enumerate_configurations(3, 2, Protocol.BENCHMARK2))
+        # Per subcarrier: U pair choices plus U direct choices, one user on
+        # both slots.
+        assert len(configs) == 4 ** 3
         for c in configs:
             assert all(k == l for k, l, _ in c.pairs)
+            assert c.direct_1 == c.direct_2
 
     def test_every_configuration_covers_both_slots(self):
         for c in enumerate_configurations(3, 1, Protocol.PROPOSED):
