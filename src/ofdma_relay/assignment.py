@@ -1,26 +1,17 @@
 """Maximum-weight perfect matching on a square score matrix."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
-    perm: tuple[int, ...]  # perm[k] = column matched to row k
-    value: float           # sum of the matched entries
-
-
-def solve_max_assignment(c: np.ndarray) -> AssignmentResult:
-    """Permutation maximizing sum_k c[k, perm[k]], O(K^3)."""
+def solve_max_assignment(c: np.ndarray) -> np.ndarray:
+    """Permutation perm maximizing sum_k c[k, perm[k]], O(K^3)."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("score matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(c, maximize=True)
-    perm = tuple(int(cols[i]) for i in np.argsort(rows))
-    value = float(c[rows, cols].sum())
-    return AssignmentResult(perm=perm, value=value)
+    # For a square matrix the rows come back as 0..K-1 in order, so the
+    # columns are the permutation.
+    return linear_sum_assignment(c, maximize=True)[1]

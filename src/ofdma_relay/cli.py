@@ -13,6 +13,7 @@ import json
 import sys
 
 from .config import ConfigError
+from .dual_solver import Protocol
 from .harness import (ExperimentSpec, HarnessIOError, run_gap_pdf,
                       run_single, run_sweep_distance, run_validate)
 
@@ -21,7 +22,7 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-PROTOCOL_NAMES = ("proposed", "bp1", "bp2")
+PROTOCOL_NAMES = tuple(p.value for p in Protocol)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--snr-db", type=float, dest="snr_db")
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--eps", type=float)
         p.add_argument("--refill", action="store_true", default=None)
         p.add_argument("--raw", action="store_true", default=None)
         p.add_argument("--out", help="output path (CSV or JSON)")
@@ -66,16 +66,15 @@ def _merge_spec(args: argparse.Namespace) -> ExperimentSpec:
     overrides = {
         "protocols": tuple(args.protocol) if args.protocol else None,
         "K": args.K, "U": args.U, "d_km": args.d_km, "snr_db": args.snr_db,
-        "trials": args.trials, "seed": args.seed, "eps": args.eps,
+        "trials": args.trials, "seed": args.seed,
         "refill": args.refill, "raw": args.raw, "out": args.out,
         "sweep": tuple(getattr(args, "sweep", None) or ()) or None,
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
     values["kind"] = args.command
-    if "protocols" in values:
-        values["protocols"] = tuple(values["protocols"])
-    if "sweep" in values:
-        values["sweep"] = tuple(values["sweep"])
+    for name in ("protocols", "sweep"):
+        if isinstance(values.get(name), list):
+            values[name] = tuple(values[name])
     known = {f.name for f in ExperimentSpec.__dataclass_fields__.values()}
     unknown = set(values) - known
     if unknown:

@@ -5,13 +5,13 @@ inner problem separates: optimal powers are water-filling levels, and the
 choice of mode/user for every candidate pair (k, l) reduces to a score
 matrix whose maximum-weight perfect matching gives the pairing. Bisection on
 mu (the subgradient p_tot - allocated power is monotone in mu) either hits a
-stationary point or converges to within eps, in which case the solution at
-the upper bracket end is feasible and carries a duality-gap certificate.
+stationary point or narrows the bracket to MU_TOL, in which case the solution
+at the upper bracket end is feasible and carries a duality-gap certificate.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -21,6 +21,10 @@ from .assignment import solve_max_assignment
 from .channel import GainTable
 
 LOG2E = math.log2(math.e)
+# Bisection stops once mu_hi - mu_lo <= MU_TOL. The width is absolute, in
+# noise-normalised units (powers over sigma^2), so the step count depends on
+# the units of the problem; ROADMAP item 2 replaces it with a relative stop.
+MU_TOL = 1e-6
 
 
 class Protocol(Enum):
@@ -69,10 +73,6 @@ class PairGainTable:
     def K(self) -> int:
         return self.g_eff.shape[0]
 
-    @property
-    def U(self) -> int:
-        return self.g_eff.shape[2]
-
 
 @dataclass(frozen=True)
 class PairAssignment:
@@ -115,7 +115,6 @@ class SolveReport:
     n_sp: int
     mu_final: float
     iterations: int
-    trace: list[tuple[float, float]] = field(default_factory=list)
 
 
 def build_pair_gain_table(gains: GainTable, protocol: Protocol) -> PairGainTable:
@@ -205,7 +204,7 @@ def solve_lrp(table: PairGainTable, weights, mu: float,
     if table.protocol is Protocol.BENCHMARK2:
         perm = ks
     else:
-        perm = np.asarray(solve_max_assignment(m.c).perm, dtype=int)
+        perm = solve_max_assignment(m.c)
 
     pair_scores = m.a_pair[ks, perm, :]
     pair_best = pair_scores.max(axis=1)
@@ -350,12 +349,10 @@ def _refill(outcome: LrpOutcome, table: PairGainTable, weights,
 
 
 def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
-          eps: float = 1e-6, refill: bool = False) -> tuple[Allocation, SolveReport]:
+          refill: bool = False) -> tuple[Allocation, SolveReport]:
     """Full bisection solve; returns a feasible allocation and its report."""
     if p_tot <= 0:
         raise ValueError(f"p_tot must be positive, got {p_tot}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     if gains.g_sr.size < 1:
         raise ValueError("empty gain table")
     w = np.asarray(weights, dtype=float)
@@ -367,31 +364,25 @@ def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
     mu_hi = mu_upper_bound(table.K, float(w.max()), p_tot)
     zero_tol = 1e-9 * p_tot
     iterations = 0
-    trace: list[tuple[float, float]] = []
-    exact: LrpOutcome | None = None
+    mode = SolveMode.APPROX_UPPER_BOUND
+    final: LrpOutcome | None = None  # the outcome at mu_hi, or a stationary one
 
-    while mu_hi - mu_lo > eps:
+    while mu_hi - mu_lo > MU_TOL:
         mu_mid = 0.5 * (mu_lo + mu_hi)
         outcome = solve_lrp(table, w, mu_mid, p_tot)
         iterations += 1
-        trace.append((mu_mid, outcome.subgrad))
         if abs(outcome.subgrad) <= zero_tol:
-            exact = outcome
+            final, mode = outcome, SolveMode.EXACT_STATIONARY
             break
         if outcome.subgrad > 0:
-            mu_hi = mu_mid
+            mu_hi, final = mu_mid, outcome
         else:
             mu_lo = mu_mid
 
-    if exact is not None:
-        final = exact
-        mode = SolveMode.EXACT_STATIONARY
-    else:
+    if final is None:  # mu_hi never moved, so it was never evaluated
         final = solve_lrp(table, w, mu_hi, p_tot)
-        mode = SolveMode.APPROX_UPPER_BOUND
-    mu_final = final.mu
 
-    if refill:
+    if refill:  # keeps final.mu
         final = _refill(final, table, w, p_tot)
     alloc = _materialize(final, gains, protocol)
     wsr = evaluate_wsr(alloc, gains, w, protocol, p_tot)
@@ -408,6 +399,6 @@ def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
     else:
         delta = math.inf
     report = SolveReport(wsr=wsr, mode=mode, delta=delta,
-                         n_sp=len(alloc.pairs), mu_final=mu_final,
-                         iterations=iterations, trace=trace)
+                         n_sp=len(alloc.pairs), mu_final=final.mu,
+                         iterations=iterations)
     return alloc, report

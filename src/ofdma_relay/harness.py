@@ -2,8 +2,7 @@
 
 Trial i always uses seed = base_seed + i, so any trial is reproducible in
 isolation and whole experiments are byte-identical when re-run with the same
-spec. Wall-clock timings are kept on the in-memory records only; emitted CSV
-contains deterministic fields exclusively.
+spec.
 """
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import csv
 import dataclasses
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,7 +47,6 @@ class ExperimentSpec:
     snr_db: float = 20.0
     sweep: tuple[float, ...] = ()
     seed: int = 0
-    eps: float = 1e-6
     refill: bool = False
     raw: bool = False
     out: str | None = None
@@ -57,6 +54,7 @@ class ExperimentSpec:
     region_radius_km: float = 0.05
 
     def __post_init__(self):
+        self._check_types()
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.protocols:
@@ -72,8 +70,30 @@ class ExperimentSpec:
                             *(("sweep", d) for d in self.sweep)):
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
+
+    def _check_types(self):
+        # A JSON config file may give any field any type. bool is an int
+        # subclass, but never a valid count or number.
+        def number(v):
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+        for names, ok, what in (
+                (("trials", "K", "U", "seed"),
+                 lambda v: number(v) and isinstance(v, int) and v >= 0,
+                 "a nonnegative integer"),
+                (("d_km", "snr_db", "center_km", "region_radius_km"), number,
+                 "a number"),
+                (("refill", "raw"), lambda v: isinstance(v, bool),
+                 "true or false"),
+                (("out",), lambda v: v is None or isinstance(v, str),
+                 "a string or null"),
+                (("protocols", "sweep"), lambda v: isinstance(v, tuple),
+                 "a list")):
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if not all(map(number, self.sweep)):
+            raise ConfigError(f"sweep entries must be numbers, got {self.sweep!r}")
 
 
 @dataclass
@@ -88,7 +108,6 @@ class TrialRecord:
     n_sp_over_k: float
     iterations: int
     mode: str
-    wall_time_ms: float  # in-memory only, never serialized
 
     def csv_row(self) -> list[str]:
         return [str(self.seed), self.protocol, repr(self.d_km), str(self.K),
@@ -106,16 +125,13 @@ def _solve_trial(cfg: SystemConfig, rng: np.random.Generator,
     _, gains = build_gain_table(cfg, rng)
     records = []
     for name in spec.protocols:
-        t0 = time.perf_counter()
         _, report = solve(gains, cfg.weights, cfg.p_tot, Protocol(name),
-                          eps=spec.eps, refill=spec.refill)
-        wall = (time.perf_counter() - t0) * 1e3
+                          refill=spec.refill)
         records.append(TrialRecord(
             seed=cfg.seed, protocol=name, d_km=cfg.d_km, K=cfg.K,
             ptot_db=cfg.ptot_over_sigma2_db, wsr=report.wsr,
             delta=report.delta, n_sp_over_k=report.n_sp / cfg.K,
-            iterations=report.iterations, mode=report.mode.value,
-            wall_time_ms=wall))
+            iterations=report.iterations, mode=report.mode.value))
     return records
 
 
@@ -194,7 +210,7 @@ def run_single(spec: ExperimentSpec) -> dict:
                     "weights": list(cfg.weights), "reports": {}}
     for name in spec.protocols:
         _, report = solve(gains, cfg.weights, cfg.p_tot, Protocol(name),
-                          eps=spec.eps, refill=spec.refill)
+                          refill=spec.refill)
         result["reports"][name] = {
             "wsr": report.wsr, "mode": report.mode.value,
             "delta": report.delta, "n_sp": report.n_sp,
@@ -226,8 +242,7 @@ def run_validate(spec: ExperimentSpec) -> dict:
         _, gains = build_gain_table(cfg, rng)
         name = spec.protocols[i % len(spec.protocols)]
         protocol = Protocol(name)
-        alloc, report = solve(gains, cfg.weights, cfg.p_tot, protocol,
-                              eps=spec.eps)
+        alloc, report = solve(gains, cfg.weights, cfg.p_tot, protocol)
         ref = oracle_solve(gains, cfg.weights, cfg.p_tot, protocol)
         lower = ref.wsr - max(report.delta * ref.wsr, 1e-6)
         upper = ref.wsr + 1e-6

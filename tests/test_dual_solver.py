@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from ofdma_relay import dual_solver
 from ofdma_relay.channel import GainTable, build_gain_table
 from ofdma_relay.config import SystemConfig
 from ofdma_relay.harness import _draw_weights
@@ -271,8 +272,7 @@ class TestSolve:
                           g_su=np.array([[2.0]]),
                           g_ru=np.array([[5.0]]))
         p_tot = 10.0
-        alloc, report = solve(gains, (1.0,), p_tot, Protocol.PROPOSED,
-                              eps=1e-9)
+        alloc, report = solve(gains, (1.0,), p_tot, Protocol.PROPOSED)
         expect = 2 * 0.5 * math.log2(1 + 2.0 * p_tot / 2)
         assert report.n_sp == 0
         assert report.wsr == pytest.approx(expect, rel=1e-6)
@@ -336,12 +336,23 @@ class TestSolve:
             assert xs == pytest.approx(_water_fill(ws, gs, cfg.p_tot),
                                        rel=1e-9, abs=1e-12 * cfg.p_tot)
 
+    def test_upper_bracket_outcome_is_reused(self, monkeypatch):
+        # The outcome at mu_hi was computed by the step that set mu_hi, so
+        # an approx-upper-bound exit evaluates the LRP once per iteration.
+        cfg, gains = random_gains(3, K=32, U=5)
+        calls = []
+        real = dual_solver.solve_lrp
+        monkeypatch.setattr(dual_solver, "solve_lrp",
+                            lambda *a: calls.append(a[2]) or real(*a))
+        _, report = solve(gains, cfg.weights, cfg.p_tot, Protocol.PROPOSED)
+        assert report.mode is SolveMode.APPROX_UPPER_BOUND
+        assert len(calls) == report.iterations
+        assert report.mu_final in calls
+
     def test_input_validation(self):
         cfg, gains = random_gains(15, K=4, U=2)
         with pytest.raises(ValueError):
             solve(gains, cfg.weights, 0.0, Protocol.PROPOSED)
-        with pytest.raises(ValueError):
-            solve(gains, cfg.weights, cfg.p_tot, Protocol.PROPOSED, eps=0.0)
         with pytest.raises(ValueError):
             solve(gains, (1.0,), cfg.p_tot, Protocol.PROPOSED)
 

@@ -21,8 +21,11 @@ class TestExperimentSpec:
         dict(snr_db=float("nan")), dict(snr_db=float("inf")),
         dict(d_km=float("nan")), dict(d_km=float("-inf")),
         dict(kind="sweep", sweep=(0.3, float("nan"))),
-        dict(eps=float("nan")), dict(eps=float("inf")), dict(eps=0.0),
-        dict(eps=-1e-6),
+        dict(snr_db="20"), dict(K=8.5), dict(K=True), dict(trials="1"),
+        dict(center_km=None), dict(refill=1), dict(raw="yes"), dict(out=5),
+        dict(protocols=["proposed"]), dict(kind="sweep", sweep=0.5),
+        dict(kind="sweep", sweep=(0.3, "0.5")),
+        dict(kind="sweep", sweep=(0.3, False)), dict(seed=-1),
     ])
     def test_invalid_rejected(self, kw):
         base = dict(kind="gap-pdf")
@@ -161,10 +164,28 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--snr-db", "nan"], ["--snr-db", "inf"], ["--snr-db", "4000"],
         ["--snr-db", "-4000"], ["--d-km", "nan"], ["--d-km", "inf"],
-        ["--eps", "nan"],
+        ["--d-km=-inf"], ["--seed", "-1"],
     ])
     def test_nonfinite_or_overflowing_input_is_config_error(self, flags):
         assert main(["solve", "--k", "8", *flags]) == 2
+
+    @pytest.mark.parametrize("values", [
+        {"snr_db": "20"}, {"K": 8.5}, {"seed": None}, {"refill": "no"},
+        {"protocols": "proposed"}, {"sweep": 0.5},
+    ])
+    def test_wrongly_typed_config_is_config_error(self, tmp_path, values):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(values))
+        assert main(["solve", "--config", str(cfg)]) == 2
+
+    def test_eps_is_no_longer_an_option(self, tmp_path):
+        # The bisection tolerance is a fixed module constant.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--k", "8", "--eps", "1e-6"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "eps.json"
+        cfg.write_text(json.dumps({"K": 8, "eps": 1e-6}))
+        assert main(["solve", "--config", str(cfg)]) == 2
 
     def test_sweep_requires_distances(self):
         assert main(["sweep", "--trials", "1"]) == 2
