@@ -3,10 +3,12 @@
 The total-power constraint is priced with a multiplier mu. At fixed mu the
 inner problem separates: optimal powers are water-filling levels, and the
 choice of mode/user for every candidate pair (k, l) reduces to a score
-matrix whose maximum-weight perfect matching gives the pairing. Bisection on
-mu (the subgradient p_tot - allocated power is monotone in mu) either hits a
-stationary point or narrows the bracket to MU_TOL, in which case the solution
-at the upper bracket end is feasible and carries a duality-gap certificate.
+matrix whose maximum-weight perfect matching gives the pairing; a protocol
+with a fixed pairing has one candidate per row and needs no matching.
+Bisection on mu (the subgradient p_tot - allocated power is monotone in mu)
+either hits a stationary point or narrows the bracket to MU_TOL, in which
+case the solution at the upper bracket end is feasible and carries a
+duality-gap certificate.
 """
 from __future__ import annotations
 
@@ -59,14 +61,16 @@ class InfeasibleAllocationError(ValueError):
 
 @dataclass(frozen=True)
 class PairGainTable:
-    """Effective gains for every (k, l, u) plus the direct gains.
+    """Effective gains of the candidate pairs plus the direct gains.
 
-    A direct transmission on subcarrier k sees g_su[k] in either slot, so one
-    (K, U) array serves both slots.
+    First-slot subcarrier k may pair with the second-slot subcarriers
+    cols[k], and g_eff[k, j, u] is the gain of pair (k, cols[k, j]) serving
+    user u. A direct transmission on subcarrier k sees g_su[k] in either
+    slot, so one (K, U) array serves both slots.
     """
 
-    protocol: Protocol
-    g_eff: np.ndarray   # (K, K, U)
+    cols: np.ndarray    # (K, M) candidate second-slot subcarriers per row
+    g_eff: np.ndarray   # (K, M, U)
     direct: np.ndarray  # (K, U)
 
     @property
@@ -118,11 +122,20 @@ class SolveReport:
 
 
 def build_pair_gain_table(gains: GainTable, protocol: Protocol) -> PairGainTable:
-    """Effective gain of every (k, l, u) combination under the protocol."""
+    """Effective gain of every candidate pair under the protocol.
+
+    bp2 fixes the pairing to the identity, so its only candidate for row k
+    is l = k; the other protocols may pair k with any l.
+    """
     K, U = gains.g_su.shape
-    k, l, u = np.ix_(np.arange(K), np.arange(K), np.arange(U))
-    g_eff = pair_gains.effective_gain(protocol.link_gains(gains, k, l, u))
-    return PairGainTable(protocol=protocol, g_eff=g_eff, direct=gains.g_su)
+    ks = np.arange(K)
+    if protocol is Protocol.BENCHMARK2:
+        cols = ks[:, None]
+    else:
+        cols = np.broadcast_to(ks, (K, K))
+    g_eff = pair_gains.effective_gain(protocol.link_gains(
+        gains, ks[:, None, None], cols[:, :, None], np.arange(U)))
+    return PairGainTable(cols=cols, g_eff=g_eff, direct=gains.g_su)
 
 
 def mu_upper_bound(K: int, w_max: float, p_tot: float) -> float:
@@ -156,11 +169,11 @@ class LrpMetrics:
     gains, so one score array serves both terms.
     """
 
-    a_pair: np.ndarray        # (K, K, U) relay-aided scores
-    lam_pair: np.ndarray      # (K, K, U) matching pair powers
+    a_pair: np.ndarray        # (K, M, U) relay-aided scores
+    lam_pair: np.ndarray      # (K, M, U) matching pair powers
     d_term: np.ndarray        # (K, U) direct scores, either slot
     d_lam: np.ndarray         # (K, U)
-    c: np.ndarray             # (K, K) best score per candidate pair
+    c: np.ndarray             # (K, M) best score per candidate pair
 
 
 def lrp_metrics(table: PairGainTable, weights: np.ndarray,
@@ -171,7 +184,7 @@ def lrp_metrics(table: PairGainTable, weights: np.ndarray,
     a_pair, lam_pair = _metric_array(w[None, None, :], mu, table.g_eff)
     d_term, d_lam = _metric_array(w[None, :], mu, table.direct)
     d_best = d_term.max(axis=1)
-    c = np.maximum(a_pair.max(axis=2), d_best[:, None] + d_best[None, :])
+    c = np.maximum(a_pair.max(axis=2), d_best[:, None] + d_best[table.cols])
     return LrpMetrics(a_pair=a_pair, lam_pair=lam_pair, d_term=d_term,
                       d_lam=d_lam, c=c)
 
@@ -185,6 +198,7 @@ class LrpOutcome:
     """
 
     mu: float
+    col: np.ndarray          # (K,) candidate column of the table matched to k
     perm: np.ndarray         # (K,) second-slot subcarrier matched to k
     relay_mask: np.ndarray   # (K,) True where the matched pair is relay-aided
     pair_user: np.ndarray    # (K,)
@@ -201,12 +215,14 @@ def solve_lrp(table: PairGainTable, weights, mu: float,
     w = np.asarray(weights, dtype=float)
     m = lrp_metrics(table, w, mu)
     ks = np.arange(table.K)
-    if table.protocol is Protocol.BENCHMARK2:
-        perm = ks
+    # With one candidate per row the pairing is fixed and needs no matching.
+    if m.c.shape[1] > 1:
+        col = solve_max_assignment(m.c)
     else:
-        perm = solve_max_assignment(m.c)
+        col = np.zeros(table.K, dtype=int)
+    perm = table.cols[ks, col]
 
-    pair_scores = m.a_pair[ks, perm, :]
+    pair_scores = m.a_pair[ks, col, :]
     pair_best = pair_scores.max(axis=1)
     pair_user = pair_scores.argmax(axis=1)
     d_user = m.d_term.argmax(axis=1)
@@ -215,13 +231,13 @@ def solve_lrp(table: PairGainTable, weights, mu: float,
     # Direct mode wins ties, so a pair that would carry no power is not
     # reported as relay-aided; argmax already prefers the lowest user index.
     relay_mask = pair_best > direct_best
-    pair_power = m.lam_pair[ks, perm, pair_user]
+    pair_power = m.lam_pair[ks, col, pair_user]
     d_power = m.d_lam[ks, d_user]
 
     total = float(np.where(relay_mask, pair_power,
                            d_power + d_power[perm]).sum())
     l_value = mu * p_tot + float(np.maximum(pair_best, direct_best).sum())
-    return LrpOutcome(mu=mu, perm=perm, relay_mask=relay_mask,
+    return LrpOutcome(mu=mu, col=col, perm=perm, relay_mask=relay_mask,
                       pair_user=pair_user, pair_power=pair_power,
                       d_user=d_user, d_power=d_power,
                       l_value=l_value, subgrad=p_tot - total)
@@ -330,7 +346,7 @@ def _refill(outcome: LrpOutcome, table: PairGainTable, weights,
     ks = np.arange(table.K)
     relay = outcome.relay_mask
     pair_w = w[outcome.pair_user]
-    pair_g = table.g_eff[ks, outcome.perm, outcome.pair_user]
+    pair_g = table.g_eff[ks, outcome.col, outcome.pair_user]
     d_w = w[outcome.d_user]
     d_g = table.direct[ks, outcome.d_user]
     # The channels in use: each relay-aided pair, and each direct row's

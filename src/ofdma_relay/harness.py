@@ -55,10 +55,15 @@ class ExperimentSpec:
 
     def __post_init__(self):
         self._check_types()
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        for name in ("trials", "K", "U"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.protocols:
             raise ConfigError("at least one protocol is required")
+        if len(set(self.protocols)) < len(self.protocols):
+            raise ConfigError(
+                f"protocols must not repeat, got {list(self.protocols)}")
         for name in self.protocols:
             try:
                 Protocol(name)
@@ -119,6 +124,15 @@ def _draw_weights(rng: np.random.Generator, U: int) -> tuple[float, ...]:
     return tuple(float(x) for x in rng.uniform(*WEIGHT_RANGE, size=U))
 
 
+def _scenario(spec: ExperimentSpec, rng: np.random.Generator, seed: int,
+              K: int, U: int, d_km: float, snr_db: float) -> SystemConfig:
+    """A scenario in the spec's user region; draws the weights from rng."""
+    return SystemConfig(K=K, U=U, d_km=d_km, ptot_over_sigma2_db=snr_db,
+                        weights=_draw_weights(rng, U), seed=seed,
+                        taps=min(6, K), center_km=spec.center_km,
+                        region_radius_km=spec.region_radius_km)
+
+
 def _solve_trial(cfg: SystemConfig, rng: np.random.Generator,
                  spec: ExperimentSpec) -> list[TrialRecord]:
     """Generate one channel realization and solve it for every protocol."""
@@ -142,10 +156,7 @@ def gap_pdf_trial(spec: ExperimentSpec, i: int) -> list[TrialRecord]:
     d = float(rng.uniform(*GAP_D_RANGE))
     K = int(GAP_K_CHOICES[rng.integers(len(GAP_K_CHOICES))])
     db = float(rng.uniform(*GAP_DB_RANGE))
-    cfg = SystemConfig(K=K, U=spec.U, d_km=d, ptot_over_sigma2_db=db,
-                       weights=_draw_weights(rng, spec.U), seed=seed,
-                       center_km=spec.center_km,
-                       region_radius_km=spec.region_radius_km)
+    cfg = _scenario(spec, rng, seed, K, spec.U, d, db)
     return _solve_trial(cfg, rng, spec)
 
 
@@ -170,11 +181,8 @@ def run_sweep_distance(spec: ExperimentSpec
         for i in range(spec.trials):
             seed = spec.seed + j * spec.trials + i
             rng = np.random.default_rng(seed)
-            cfg = SystemConfig(K=spec.K, U=spec.U, d_km=float(d),
-                               ptot_over_sigma2_db=spec.snr_db,
-                               weights=_draw_weights(rng, spec.U), seed=seed,
-                               taps=min(6, spec.K), center_km=spec.center_km,
-                               region_radius_km=spec.region_radius_km)
+            cfg = _scenario(spec, rng, seed, spec.K, spec.U, float(d),
+                            spec.snr_db)
             per_d.extend(_solve_trial(cfg, rng, spec))
         raw.extend(per_d)
         for name in spec.protocols:
@@ -199,11 +207,7 @@ def run_single(spec: ExperimentSpec) -> dict:
     """Solve one fixed scenario and report per protocol."""
     seed = spec.seed
     rng = np.random.default_rng(seed)
-    cfg = SystemConfig(K=spec.K, U=spec.U, d_km=spec.d_km,
-                       ptot_over_sigma2_db=spec.snr_db,
-                       weights=_draw_weights(rng, spec.U), seed=seed,
-                       taps=min(6, spec.K), center_km=spec.center_km,
-                       region_radius_km=spec.region_radius_km)
+    cfg = _scenario(spec, rng, seed, spec.K, spec.U, spec.d_km, spec.snr_db)
     _, gains = build_gain_table(cfg, rng)
     result: dict = {"seed": seed, "K": cfg.K, "U": cfg.U, "d_km": cfg.d_km,
                     "ptot_db": cfg.ptot_over_sigma2_db,
@@ -234,11 +238,9 @@ def run_validate(spec: ExperimentSpec) -> dict:
         rng = np.random.default_rng(seed)
         K = int(rng.integers(1, spec.K + 1))
         U = int(rng.integers(1, spec.U + 1))
-        cfg = SystemConfig(K=K, U=U, d_km=float(rng.uniform(*GAP_D_RANGE)),
-                           ptot_over_sigma2_db=float(rng.uniform(0.0, 30.0)),
-                           weights=_draw_weights(rng, U), seed=seed,
-                           taps=min(6, K), center_km=spec.center_km,
-                           region_radius_km=spec.region_radius_km)
+        cfg = _scenario(spec, rng, seed, K, U,
+                        float(rng.uniform(*GAP_D_RANGE)),
+                        float(rng.uniform(0.0, 30.0)))
         _, gains = build_gain_table(cfg, rng)
         name = spec.protocols[i % len(spec.protocols)]
         protocol = Protocol(name)

@@ -17,7 +17,7 @@ import numpy as np
 from . import pair_gains
 from .channel import GainTable
 from .dual_solver import (Allocation, DirectAssignment, Protocol,
-                          build_pair_gain_table, pair_assignments)
+                          pair_assignments)
 
 MAX_K = 5
 MAX_U = 3
@@ -125,7 +125,8 @@ def oracle_solve(gains: GainTable, weights, p_tot: float,
     K, U = gains.g_su.shape
     _check_size(K, U)
     w = [float(x) for x in weights]
-    g_eff = build_pair_gain_table(gains, protocol).g_eff
+    g_eff = pair_gains.effective_gain(protocol.link_gains(
+        gains, *np.ix_(range(K), range(K), range(U))))
 
     best_wsr = -1.0
     best: tuple[Configuration, list[float]] | None = None

@@ -94,14 +94,26 @@ class TestPairGainTable:
         for protocol in Protocol:
             table = build_pair_gain_table(gains, protocol)
             for k in range(4):
-                for l in range(4):
+                for j, l in enumerate(table.cols[k]):
                     for u in range(2):
                         b = gains.g_ru[l, u]
                         if protocol is Protocol.PROPOSED:
                             b += gains.g_su[l, u]
-                        assert table.g_eff[k, l, u] == pytest.approx(
+                        assert table.g_eff[k, j, u] == pytest.approx(
                             derived(gains.g_sr[k], gains.g_su[k, u], b),
                             rel=1e-12)
+
+    def test_bp2_table_is_bp1_diagonal(self):
+        # The identity pairing leaves one candidate per row, l = k.
+        _, gains = random_gains(3, K=6, U=3)
+        t_1 = build_pair_gain_table(gains, Protocol.BENCHMARK1)
+        t_2 = build_pair_gain_table(gains, Protocol.BENCHMARK2)
+        ks = np.arange(6)
+        np.testing.assert_array_equal(t_1.cols, np.broadcast_to(ks, (6, 6)))
+        np.testing.assert_array_equal(t_2.cols, ks[:, None])
+        assert t_2.g_eff.shape == (6, 1, 3)
+        np.testing.assert_array_equal(t_2.g_eff[:, 0, :],
+                                      t_1.g_eff[ks, ks, :])
 
 
 class TestLrpMetrics:
@@ -109,7 +121,7 @@ class TestLrpMetrics:
         # One subcarrier pair, one user: relay-aided score beats two direct
         # transmissions when the effective gain is 2.5 vs direct gain 1.
         mu = 0.2
-        table = PairGainTable(protocol=Protocol.PROPOSED,
+        table = PairGainTable(cols=np.zeros((1, 1), dtype=int),
                               g_eff=np.full((1, 1, 1), 2.5),
                               direct=np.ones((1, 1)))
         m = lrp_metrics(table, np.array([1.0]), mu)
@@ -186,18 +198,19 @@ class TestSolveLrp:
         cfg, gains = random_gains(8, K=2, U=1)
         table = build_pair_gain_table(gains, protocol)
         w = np.asarray(cfg.weights)
-        gain_lookup = {"pair": table.g_eff, "d1": gains.g_su,
-                       "d2": gains.g_su}
+        pair_gain = {(k, l, u): table.g_eff[k, j, u]
+                     for k in range(2) for j, l in enumerate(table.cols[k])
+                     for u in range(1)}
         for mu in (0.02, 0.2, 2.0):
             best = -math.inf
             for config in enumerate_configurations(2, 1, protocol):
                 val = 0.0
                 for k, l, u in config.pairs:
-                    val += channel_score(w[u], gain_lookup["pair"][k, l, u], mu)
+                    val += channel_score(w[u], pair_gain[k, l, u], mu)
                 for k, a in config.direct_1:
-                    val += channel_score(w[a], gain_lookup["d1"][k, a], mu)
+                    val += channel_score(w[a], gains.g_su[k, a], mu)
                 for l, b in config.direct_2:
-                    val += channel_score(w[b], gain_lookup["d2"][l, b], mu)
+                    val += channel_score(w[b], gains.g_su[l, b], mu)
                 best = max(best, val)
             out = solve_lrp(table, w, mu, cfg.p_tot)
             assert out.l_value == pytest.approx(mu * cfg.p_tot + best,
@@ -208,6 +221,15 @@ class TestSolveLrp:
         table = build_pair_gain_table(gains, Protocol.BENCHMARK2)
         out = solve_lrp(table, cfg.weights, 0.2, cfg.p_tot)
         np.testing.assert_array_equal(out.perm, np.arange(5))
+
+    def test_bp2_makes_no_matching_call(self, monkeypatch):
+        def forbidden(c):
+            raise AssertionError(f"matching called on a {c.shape} matrix")
+        monkeypatch.setattr(dual_solver, "solve_max_assignment", forbidden)
+        cfg, gains = random_gains(10, K=16, U=3)
+        _, report = solve(gains, cfg.weights, cfg.p_tot, Protocol.BENCHMARK2,
+                          refill=True)
+        assert report.wsr > 0
 
     def test_bp2_serves_one_user_on_both_direct_slots(self):
         for seed in range(10, 15):
@@ -348,6 +370,24 @@ class TestSolve:
         assert report.mode is SolveMode.APPROX_UPPER_BOUND
         assert len(calls) == report.iterations
         assert report.mu_final in calls
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_relabelling_invariance(self, protocol):
+        # One subcarrier permutation on every link keeps the feasible set
+        # (bp2's identity pairing included), and so does a user permutation
+        # applied to the gains and the weights together.
+        rng = np.random.default_rng(17)
+        for K in (8, 16, 32):
+            for db in (0.0, 20.0, 45.0):
+                cfg, gains = random_gains(K + int(db), K=K, U=5, db=db)
+                sc, us = rng.permutation(K), rng.permutation(5)
+                moved = GainTable(g_sr=gains.g_sr[sc],
+                                  g_su=gains.g_su[sc][:, us],
+                                  g_ru=gains.g_ru[sc][:, us])
+                w = np.asarray(cfg.weights)
+                _, r = solve(gains, w, cfg.p_tot, protocol)
+                _, r_moved = solve(moved, w[us], cfg.p_tot, protocol)
+                assert r_moved.wsr == pytest.approx(r.wsr, rel=1e-12)
 
     def test_input_validation(self):
         cfg, gains = random_gains(15, K=4, U=2)

@@ -26,6 +26,7 @@ class TestExperimentSpec:
         dict(protocols=["proposed"]), dict(kind="sweep", sweep=0.5),
         dict(kind="sweep", sweep=(0.3, "0.5")),
         dict(kind="sweep", sweep=(0.3, False)), dict(seed=-1),
+        dict(protocols=("bp1", "bp1")), dict(K=0), dict(U=0),
     ])
     def test_invalid_rejected(self, kw):
         base = dict(kind="gap-pdf")
@@ -168,6 +169,15 @@ class TestCli:
     ])
     def test_nonfinite_or_overflowing_input_is_config_error(self, flags):
         assert main(["solve", "--k", "8", *flags]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--trials", "1", "--k", "4", "--d-list", "0.5",
+         "--protocol", "bp1", "--protocol", "bp1"],
+        ["validate", "--k", "0", "--users", "2"],
+        ["validate", "--k", "3", "--users", "0"],
+    ])
+    def test_repeated_protocol_or_empty_size_is_config_error(self, argv):
+        assert main(argv) == 2
 
     @pytest.mark.parametrize("values", [
         {"snr_db": "20"}, {"K": 8.5}, {"seed": None}, {"refill": "no"},
