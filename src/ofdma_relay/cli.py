@@ -1,28 +1,49 @@
 """Command-line front end.
 
-Subcommands: solve, gap-pdf, sweep, validate. A JSON config file may supply
-any ExperimentSpec field; command-line flags override file values.
+Subcommands: solve, gap-pdf, sweep, validate. Each takes, as flags and as
+keys of a JSON config file, only the ExperimentSpec fields it reads
+(harness.FIELDS); flags override file values.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 I/O error.
+3 I/O error, 4 unexpected error (the traceback goes to stderr).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 
 from .config import ConfigError
 from .dual_solver import Protocol
-from .harness import (ExperimentSpec, HarnessIOError, run_gap_pdf,
+from .harness import (FIELDS, ExperimentSpec, HarnessIOError, run_gap_pdf,
                       run_single, run_sweep_distance, run_validate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_UNEXPECTED = 4
 
 PROTOCOL_NAMES = tuple(p.value for p in Protocol)
+
+# The flag of each ExperimentSpec field; argparse stores it under the field's
+# name, and a flag left off stays None.
+FLAGS = {
+    "protocols": ("--protocol", dict(action="append", choices=PROTOCOL_NAMES,
+                                     help="protocol to run (repeatable)")),
+    "K": ("--k", dict(type=int)),
+    "U": ("--users", dict(type=int)),
+    "d_km": ("--d-km", dict(type=float)),
+    "snr_db": ("--snr-db", dict(type=float)),
+    "trials": ("--trials", dict(type=int)),
+    "seed": ("--seed", dict(type=int)),
+    "refill": ("--refill", dict(action="store_true", default=None)),
+    "raw": ("--raw", dict(action="store_true", default=None)),
+    "out": ("--out", dict(help="output path (CSV or JSON)")),
+    "sweep": ("--d-list", dict(type=float, nargs="+",
+                               help="relay distances to sweep, km")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,21 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        ("sweep", "relay-distance sweep"),
                        ("validate", "solver-vs-oracle validation")):
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--config", help="JSON file with ExperimentSpec fields")
-        p.add_argument("--protocol", action="append", choices=PROTOCOL_NAMES,
-                       help="protocol to run (repeatable)")
-        p.add_argument("--k", type=int, dest="K")
-        p.add_argument("--users", type=int, dest="U")
-        p.add_argument("--d-km", type=float, dest="d_km")
-        p.add_argument("--snr-db", type=float, dest="snr_db")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--refill", action="store_true", default=None)
-        p.add_argument("--raw", action="store_true", default=None)
-        p.add_argument("--out", help="output path (CSV or JSON)")
-        if name == "sweep":
-            p.add_argument("--d-list", type=float, nargs="+", dest="sweep",
-                           help="relay distances to sweep, km")
+        p.add_argument("--config", help="JSON object of the command's fields")
+        for field in FIELDS[name]:
+            flag, kwargs = FLAGS[field]
+            p.add_argument(flag, dest=field, **kwargs)
     return parser
 
 
@@ -58,28 +68,21 @@ def _merge_spec(args: argparse.Namespace) -> ExperimentSpec:
     if args.config:
         try:
             with open(args.config) as fh:
-                values.update(json.load(fh))
+                values = json.load(fh)
         except OSError as exc:
             raise HarnessIOError(f"cannot read {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad config file {args.config}: {exc}") from exc
-    overrides = {
-        "protocols": tuple(args.protocol) if args.protocol else None,
-        "K": args.K, "U": args.U, "d_km": args.d_km, "snr_db": args.snr_db,
-        "trials": args.trials, "seed": args.seed,
-        "refill": args.refill, "raw": args.raw, "out": args.out,
-        "sweep": tuple(getattr(args, "sweep", None) or ()) or None,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    values["kind"] = args.command
-    for name in ("protocols", "sweep"):
-        if isinstance(values.get(name), list):
-            values[name] = tuple(values[name])
-    known = {f.name for f in ExperimentSpec.__dataclass_fields__.values()}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return ExperimentSpec(**values)
+        if not isinstance(values, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object")
+    fields = FIELDS[args.command]
+    unread = sorted(set(values) - set(fields))
+    if unread:
+        raise ConfigError(f"{args.command} does not read {unread}")
+    values.update({name: getattr(args, name) for name in fields
+                   if getattr(args, name) is not None})
+    return ExperimentSpec(kind=args.command, **{
+        k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,6 +112,10 @@ def main(argv: list[str] | None = None) -> int:
     except HarnessIOError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        print(f"unexpected error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_UNEXPECTED
     return EXIT_OK
 
 

@@ -36,9 +36,21 @@ class HarnessIOError(OSError):
     """I/O failure annotated with the offending path."""
 
 
+# The ExperimentSpec fields each command reads: its only CLI flags, config
+# keys and .spec.json entries; every other field keeps its default. For
+# validate, K and U are the upper limits of the random draw.
+_COMMON = ("protocols", "U", "seed", "out")
+FIELDS = {
+    "solve": _COMMON + ("K", "d_km", "snr_db", "refill"),
+    "gap-pdf": _COMMON + ("trials", "refill"),
+    "sweep": _COMMON + ("trials", "K", "snr_db", "sweep", "refill", "raw"),
+    "validate": _COMMON + ("trials", "K"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    kind: str                                  # gap-pdf | sweep | solve | validate
+    kind: str                                  # a key of FIELDS
     trials: int = 1
     protocols: tuple[str, ...] = ("proposed",)
     K: int = 32
@@ -50,10 +62,14 @@ class ExperimentSpec:
     refill: bool = False
     raw: bool = False
     out: str | None = None
-    center_km: float = 1.0
-    region_radius_km: float = 0.05
 
     def __post_init__(self):
+        if self.kind not in FIELDS:
+            raise ConfigError(f"unknown kind {self.kind!r}")
+        for f in dataclasses.fields(self):
+            if (f.name != "kind" and f.name not in FIELDS[self.kind]
+                    and getattr(self, f.name) != f.default):
+                raise ConfigError(f"{self.kind} does not read {f.name}")
         self._check_types()
         for name in ("trials", "K", "U"):
             if getattr(self, name) < 1:
@@ -85,20 +101,19 @@ class ExperimentSpec:
                 (("trials", "K", "U", "seed"),
                  lambda v: number(v) and isinstance(v, int) and v >= 0,
                  "a nonnegative integer"),
-                (("d_km", "snr_db", "center_km", "region_radius_km"), number,
-                 "a number"),
+                (("d_km", "snr_db"), number, "a number"),
                 (("refill", "raw"), lambda v: isinstance(v, bool),
                  "true or false"),
                 (("out",), lambda v: v is None or isinstance(v, str),
                  "a string or null"),
-                (("protocols", "sweep"), lambda v: isinstance(v, tuple),
-                 "a list")):
+                (("protocols",), lambda v: isinstance(v, tuple)
+                 and all(isinstance(p, str) for p in v), "a list of strings"),
+                (("sweep",), lambda v: isinstance(v, tuple)
+                 and all(map(number, v)), "a list of numbers")):
             for name in names:
                 value = getattr(self, name)
                 if not ok(value):
                     raise ConfigError(f"{name} must be {what}, got {value!r}")
-        if not all(map(number, self.sweep)):
-            raise ConfigError(f"sweep entries must be numbers, got {self.sweep!r}")
 
 
 @dataclass
@@ -124,13 +139,12 @@ def _draw_weights(rng: np.random.Generator, U: int) -> tuple[float, ...]:
     return tuple(float(x) for x in rng.uniform(*WEIGHT_RANGE, size=U))
 
 
-def _scenario(spec: ExperimentSpec, rng: np.random.Generator, seed: int,
-              K: int, U: int, d_km: float, snr_db: float) -> SystemConfig:
-    """A scenario in the spec's user region; draws the weights from rng."""
+def _scenario(rng: np.random.Generator, seed: int, K: int, U: int,
+              d_km: float, snr_db: float) -> SystemConfig:
+    """A scenario in the default user region; draws the weights from rng."""
     return SystemConfig(K=K, U=U, d_km=d_km, ptot_over_sigma2_db=snr_db,
                         weights=_draw_weights(rng, U), seed=seed,
-                        taps=min(6, K), center_km=spec.center_km,
-                        region_radius_km=spec.region_radius_km)
+                        taps=min(6, K))
 
 
 def _solve_trial(cfg: SystemConfig, rng: np.random.Generator,
@@ -156,7 +170,7 @@ def gap_pdf_trial(spec: ExperimentSpec, i: int) -> list[TrialRecord]:
     d = float(rng.uniform(*GAP_D_RANGE))
     K = int(GAP_K_CHOICES[rng.integers(len(GAP_K_CHOICES))])
     db = float(rng.uniform(*GAP_DB_RANGE))
-    cfg = _scenario(spec, rng, seed, K, spec.U, d, db)
+    cfg = _scenario(rng, seed, K, spec.U, d, db)
     return _solve_trial(cfg, rng, spec)
 
 
@@ -181,8 +195,7 @@ def run_sweep_distance(spec: ExperimentSpec
         for i in range(spec.trials):
             seed = spec.seed + j * spec.trials + i
             rng = np.random.default_rng(seed)
-            cfg = _scenario(spec, rng, seed, spec.K, spec.U, float(d),
-                            spec.snr_db)
+            cfg = _scenario(rng, seed, spec.K, spec.U, float(d), spec.snr_db)
             per_d.extend(_solve_trial(cfg, rng, spec))
         raw.extend(per_d)
         for name in spec.protocols:
@@ -207,7 +220,7 @@ def run_single(spec: ExperimentSpec) -> dict:
     """Solve one fixed scenario and report per protocol."""
     seed = spec.seed
     rng = np.random.default_rng(seed)
-    cfg = _scenario(spec, rng, seed, spec.K, spec.U, spec.d_km, spec.snr_db)
+    cfg = _scenario(rng, seed, spec.K, spec.U, spec.d_km, spec.snr_db)
     _, gains = build_gain_table(cfg, rng)
     result: dict = {"seed": seed, "K": cfg.K, "U": cfg.U, "d_km": cfg.d_km,
                     "ptot_db": cfg.ptot_over_sigma2_db,
@@ -238,8 +251,7 @@ def run_validate(spec: ExperimentSpec) -> dict:
         rng = np.random.default_rng(seed)
         K = int(rng.integers(1, spec.K + 1))
         U = int(rng.integers(1, spec.U + 1))
-        cfg = _scenario(spec, rng, seed, K, U,
-                        float(rng.uniform(*GAP_D_RANGE)),
+        cfg = _scenario(rng, seed, K, U, float(rng.uniform(*GAP_D_RANGE)),
                         float(rng.uniform(0.0, 30.0)))
         _, gains = build_gain_table(cfg, rng)
         name = spec.protocols[i % len(spec.protocols)]
@@ -329,7 +341,8 @@ def _write_delta_histogram(path: Path, records: list[TrialRecord]) -> None:
 def _write_spec_sidecar(path: Path, spec: ExperimentSpec,
                         records: list[TrialRecord]) -> None:
     exact = sum(r.mode == SolveMode.EXACT_STATIONARY.value for r in records)
-    payload = {"spec": dataclasses.asdict(spec),
+    payload = {"spec": {name: getattr(spec, name)
+                        for name in ("kind",) + FIELDS[spec.kind]},
                "records": len(records),
                "exact_stationary_exits": exact,
                "epsilon_exits": len(records) - exact}

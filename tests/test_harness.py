@@ -1,13 +1,15 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from ofdma_relay import cli
 from ofdma_relay.cli import main
 from ofdma_relay.config import ConfigError
-from ofdma_relay.harness import (CSV_COLUMNS, SWEEP_COLUMNS, ExperimentSpec,
-                                 run_gap_pdf, run_single, run_sweep_distance,
-                                 run_validate)
+from ofdma_relay.harness import (CSV_COLUMNS, FIELDS, SWEEP_COLUMNS,
+                                 ExperimentSpec, run_gap_pdf, run_single,
+                                 run_sweep_distance, run_validate)
 
 
 class TestExperimentSpec:
@@ -15,24 +17,37 @@ class TestExperimentSpec:
         spec = ExperimentSpec(kind="gap-pdf")
         assert spec.trials == 1 and spec.protocols == ("proposed",)
 
+    # Each case sets only fields its kind reads, so it fails for its own
+    # reason rather than as an unread field.
     @pytest.mark.parametrize("kw", [
         dict(trials=0), dict(protocols=()), dict(protocols=("nope",)),
         dict(kind="sweep"),
-        dict(snr_db=float("nan")), dict(snr_db=float("inf")),
-        dict(d_km=float("nan")), dict(d_km=float("-inf")),
+        dict(kind="solve", snr_db=float("nan")),
+        dict(kind="solve", snr_db=float("inf")),
+        dict(kind="solve", d_km=float("nan")),
+        dict(kind="solve", d_km=float("-inf")),
         dict(kind="sweep", sweep=(0.3, float("nan"))),
-        dict(snr_db="20"), dict(K=8.5), dict(K=True), dict(trials="1"),
-        dict(center_km=None), dict(refill=1), dict(raw="yes"), dict(out=5),
+        dict(kind="solve", snr_db="20"), dict(kind="solve", K=8.5),
+        dict(kind="solve", K=True), dict(trials="1"),
+        dict(protocols=(["bp1"],)), dict(refill=1),
+        dict(kind="sweep", sweep=(0.5,), raw="yes"), dict(out=5),
         dict(protocols=["proposed"]), dict(kind="sweep", sweep=0.5),
         dict(kind="sweep", sweep=(0.3, "0.5")),
         dict(kind="sweep", sweep=(0.3, False)), dict(seed=-1),
-        dict(protocols=("bp1", "bp1")), dict(K=0), dict(U=0),
+        dict(protocols=("bp1", "bp1")), dict(kind="solve", K=0), dict(U=0),
     ])
     def test_invalid_rejected(self, kw):
         base = dict(kind="gap-pdf")
         base.update(kw)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc:
             ExperimentSpec(**base)
+        assert "does not read" not in str(exc.value)
+
+    def test_unread_field_or_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="gap-pdf does not read K"):
+            ExperimentSpec(kind="gap-pdf", K=8)
+        with pytest.raises(ConfigError, match="unknown kind"):
+            ExperimentSpec(kind="bogus")
 
 
 class TestGapPdf:
@@ -49,6 +64,7 @@ class TestGapPdf:
         assert (tmp_path / "gap.hist.csv").exists()
         sidecar = json.loads((tmp_path / "gap.spec.json").read_text())
         assert sidecar["records"] == 10
+        assert sorted(sidecar["spec"]) == sorted(("kind",) + FIELDS["gap-pdf"])
         assert (sidecar["exact_stationary_exits"]
                 + sidecar["epsilon_exits"]) == 10
 
@@ -86,6 +102,8 @@ class TestSweep:
             header = next(csv.reader(fh))
         assert tuple(header) == SWEEP_COLUMNS
         assert (tmp_path / "sweep.raw.csv").exists()
+        sidecar = json.loads((tmp_path / "sweep.spec.json").read_text())
+        assert sorted(sidecar["spec"]) == sorted(("kind",) + FIELDS["sweep"])
 
     def test_same_channel_for_every_protocol(self):
         spec = ExperimentSpec(kind="sweep", trials=2, sweep=(0.5,), K=8,
@@ -157,7 +175,7 @@ class TestCli:
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"K": 8, "U": 2, "seed": 3, "trials": 1}))
+        cfg.write_text(json.dumps({"K": 8, "U": 2, "seed": 3}))
         assert main(["solve", "--config", str(cfg), "--k", "4"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["K"] == 4 and out["U"] == 2
@@ -181,12 +199,59 @@ class TestCli:
 
     @pytest.mark.parametrize("values", [
         {"snr_db": "20"}, {"K": 8.5}, {"seed": None}, {"refill": "no"},
-        {"protocols": "proposed"}, {"sweep": 0.5},
+        {"protocols": "proposed"}, {"sweep": 0.5}, {"protocols": [["bp1"]]},
     ])
-    def test_wrongly_typed_config_is_config_error(self, tmp_path, values):
+    def test_wrongly_typed_config_is_config_error(self, tmp_path, values,
+                                                  capsys):
         cfg = tmp_path / "typed.json"
         cfg.write_text(json.dumps(values))
+        command = "sweep" if "sweep" in values else "solve"
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "does not read" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"x"', "null"])
+    def test_non_object_config_is_config_error(self, tmp_path, capsys,
+                                               text):
+        cfg = tmp_path / "scalar.json"
+        cfg.write_text(text)
         assert main(["solve", "--config", str(cfg)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--trials", "1"], ["gap-pdf", "--k", "8"],
+        ["gap-pdf", "--snr-db", "10"], ["gap-pdf", "--d-km", "0.3"],
+        ["sweep", "--d-list", "0.5", "--d-km", "0.3"],
+        ["validate", "--snr-db", "3"], ["validate", "--refill"],
+    ])
+    def test_unread_flag_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, name", [
+        (command, f.name) for command in FIELDS
+        for f in dataclasses.fields(ExperimentSpec)
+        if f.name not in FIELDS[command]])
+    def test_unread_config_key_is_config_error(self, tmp_path, capsys,
+                                               command, name):
+        cfg = tmp_path / "unread.json"
+        cfg.write_text(json.dumps({name: 1}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "does not read" in capsys.readouterr().err
+
+    def test_each_command_has_only_its_fields_as_flags(self):
+        for command, fields in FIELDS.items():
+            args = cli._build_parser().parse_args([command])
+            assert set(vars(args)) == {"command", "config", *fields}
+
+    def test_unexpected_error_exits_4(self, monkeypatch, capsys):
+        def fail(spec):
+            raise MemoryError("simulated")
+        monkeypatch.setattr(cli, "run_single", fail)
+        assert main(["solve", "--k", "8"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("unexpected error: MemoryError('simulated')")
+        assert "Traceback" in err
 
     def test_eps_is_no_longer_an_option(self, tmp_path):
         # The bisection tolerance is a fixed module constant.
