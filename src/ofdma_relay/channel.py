@@ -63,8 +63,11 @@ def sample_geometry(cfg: SystemConfig, rng: np.random.Generator) -> Geometry:
     angle = 2.0 * np.pi * u2
     users = center + np.stack([radius * np.cos(angle),
                                radius * np.sin(angle)], axis=1)
-    d_su = np.linalg.norm(users, axis=1)
-    d_ru = np.linalg.norm(users - relay, axis=1)
+    # A huge d_km overflows a distance to +inf; sample_impulse_response
+    # turns that into a zero-gain link, the physical limit.
+    with np.errstate(over="ignore"):
+        d_su = np.linalg.norm(users, axis=1)
+        d_ru = np.linalg.norm(users - relay, axis=1)
     return Geometry(relay_pos=relay, user_pos=users, d_su=d_su, d_ru=d_ru)
 
 

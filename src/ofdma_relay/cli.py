@@ -39,7 +39,6 @@ FLAGS = {
     "trials": ("--trials", dict(type=int)),
     "seed": ("--seed", dict(type=int)),
     "refill": ("--refill", dict(action="store_true", default=None)),
-    "raw": ("--raw", dict(action="store_true", default=None)),
     "out": ("--out", dict(help="output path (CSV or JSON)")),
     "sweep": ("--d-list", dict(type=float, nargs="+",
                                help="relay distances to sweep, km")),

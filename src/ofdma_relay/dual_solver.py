@@ -146,10 +146,9 @@ def mu_upper_bound(K: int, w_max: float, p_tot: float) -> float:
 
 
 def _lambda_array(w: np.ndarray, mu: float, g: np.ndarray) -> np.ndarray:
-    """Water-filling power [w*log2(e)/(2*mu) - 1/g]+ at price mu; 0 if g <= 0."""
-    with np.errstate(divide="ignore"):
-        inv = np.where(g > 0, 1.0 / np.where(g > 0, g, 1.0), np.inf)
-    return np.maximum(w * LOG2E / (2.0 * mu) - inv, 0.0)
+    """Water-filling power [w*log2(e)/(2*mu) - 1/g]+ at price mu; g >= 0."""
+    with np.errstate(divide="ignore"):  # g = 0 gives 1/g = inf: power 0
+        return np.maximum(w * LOG2E / (2.0 * mu) - 1.0 / g, 0.0)
 
 
 def _metric_array(w: np.ndarray, mu: float,
@@ -371,6 +370,9 @@ def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
         raise ValueError(f"p_tot must be positive, got {p_tot}")
     if gains.g_sr.size < 1:
         raise ValueError("empty gain table")
+    if not all(np.all(np.isfinite(g) & (g >= 0))
+               for g in (gains.g_sr, gains.g_su, gains.g_ru)):
+        raise ValueError("gains must be finite and nonnegative")
     w = np.asarray(weights, dtype=float)
     if w.size != gains.g_su.shape[1]:
         raise ValueError("weights length does not match user count")

@@ -26,8 +26,6 @@ GAP_K_CHOICES = (8, 16, 32, 64, 128)
 GAP_DB_RANGE = (0.0, 45.0)
 WEIGHT_RANGE = (0.8, 1.2)
 
-CSV_COLUMNS = ("seed", "protocol", "d_km", "K", "ptot_db", "wsr", "delta",
-               "n_sp_over_k", "iterations", "mode")
 SWEEP_COLUMNS = ("d_km", "protocol", "K", "ptot_db", "trials", "mean_wsr",
                  "mean_n_sp_over_k", "mean_delta", "max_iterations")
 
@@ -43,7 +41,7 @@ _COMMON = ("protocols", "U", "seed", "out")
 FIELDS = {
     "solve": _COMMON + ("K", "d_km", "snr_db", "refill"),
     "gap-pdf": _COMMON + ("trials", "refill"),
-    "sweep": _COMMON + ("trials", "K", "snr_db", "sweep", "refill", "raw"),
+    "sweep": _COMMON + ("trials", "K", "snr_db", "sweep", "refill"),
     "validate": _COMMON + ("trials", "K"),
 }
 
@@ -60,7 +58,6 @@ class ExperimentSpec:
     sweep: tuple[float, ...] = ()
     seed: int = 0
     refill: bool = False
-    raw: bool = False
     out: str | None = None
 
     def __post_init__(self):
@@ -87,10 +84,18 @@ class ExperimentSpec:
                 raise ConfigError(str(exc)) from exc
         if self.kind == "sweep" and not self.sweep:
             raise ConfigError("sweep experiments need a nonempty d list")
-        for name, value in (("snr_db", self.snr_db), ("d_km", self.d_km),
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        for name, value in (("d_km", self.d_km),
                             *(("sweep", d) for d in self.sweep)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {value}")
+        if len(set(self.sweep)) < len(self.sweep):
+            raise ConfigError(
+                f"sweep distances must not repeat, got {list(self.sweep)}")
+        if self.out == "":
+            raise ConfigError("out must not be empty")
 
     def _check_types(self):
         # A JSON config file may give any field any type. bool is an int
@@ -102,7 +107,7 @@ class ExperimentSpec:
                  lambda v: number(v) and isinstance(v, int) and v >= 0,
                  "a nonnegative integer"),
                 (("d_km", "snr_db"), number, "a number"),
-                (("refill", "raw"), lambda v: isinstance(v, bool),
+                (("refill",), lambda v: isinstance(v, bool),
                  "true or false"),
                 (("out",), lambda v: v is None or isinstance(v, str),
                  "a string or null"),
@@ -129,10 +134,8 @@ class TrialRecord:
     iterations: int
     mode: str
 
-    def csv_row(self) -> list[str]:
-        return [str(self.seed), self.protocol, repr(self.d_km), str(self.K),
-                repr(self.ptot_db), repr(self.wsr), repr(self.delta),
-                repr(self.n_sp_over_k), str(self.iterations), self.mode]
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
 
 
 def _draw_weights(rng: np.random.Generator, U: int) -> tuple[float, ...]:
@@ -179,7 +182,8 @@ def run_gap_pdf(spec: ExperimentSpec) -> list[TrialRecord]:
     for i in range(spec.trials):
         records.extend(gap_pdf_trial(spec, i))
     if spec.out:
-        _write_records(Path(spec.out), records)
+        _write_csv(Path(spec.out), CSV_COLUMNS,
+                   map(dataclasses.astuple, records))
         _write_delta_histogram(Path(spec.out), records)
         _write_spec_sidecar(Path(spec.out), spec, records)
     return records
@@ -209,10 +213,12 @@ def run_sweep_distance(spec: ExperimentSpec
                 "max_iterations": max(r.iterations for r in sub),
             })
     if spec.out:
-        _write_sweep(Path(spec.out), rows)
-        if spec.raw:
-            _write_records(Path(spec.out).with_suffix(".raw.csv"), raw)
-        _write_spec_sidecar(Path(spec.out), spec, raw)
+        out = Path(spec.out)
+        _write_csv(out, SWEEP_COLUMNS,
+                   ([row[c] for c in SWEEP_COLUMNS] for row in rows))
+        _write_csv(out.with_suffix(".raw.csv"), CSV_COLUMNS,
+                   map(dataclasses.astuple, raw))
+        _write_spec_sidecar(out, spec, raw)
     return rows, raw
 
 
@@ -305,37 +311,26 @@ def _open_for_write(path: Path):
         raise HarnessIOError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_records(path: Path, records: list[TrialRecord]) -> None:
+def _write_csv(path: Path, header, rows) -> None:
+    """Write header and rows; a float cell is its repr (shortest round
+    trip), so re-runs are byte-identical. Pass Python, not numpy, scalars."""
     with _open_for_write(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(r.csv_row())
-
-
-def _write_sweep(path: Path, rows: list[dict]) -> None:
-    with _open_for_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float)
-                             else str(row[c]) for c in SWEEP_COLUMNS])
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else str(v)
+                          for v in row] for row in rows)
 
 
 def _write_delta_histogram(path: Path, records: list[TrialRecord]) -> None:
     """Histogram of 10*log10(delta) over epsilon-branch exits only."""
     deltas = [r.delta for r in records
               if r.mode == SolveMode.APPROX_UPPER_BOUND.value and r.delta > 0]
-    hist_path = path.with_suffix(".hist.csv")
-    with _open_for_write(hist_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("bin_left_db", "bin_right_db", "count"))
-        if deltas:
-            db = 10.0 * np.log10(np.asarray(deltas))
-            counts, edges = np.histogram(db, bins=40)
-            for c, left, right in zip(counts, edges[:-1], edges[1:]):
-                writer.writerow((repr(float(left)), repr(float(right)),
-                                 str(int(c))))
+    rows = []
+    if deltas:
+        counts, edges = np.histogram(10.0 * np.log10(deltas), bins=40)
+        rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+    _write_csv(path.with_suffix(".hist.csv"),
+               ("bin_left_db", "bin_right_db", "count"), rows)
 
 
 def _write_spec_sidecar(path: Path, spec: ExperimentSpec,

@@ -253,8 +253,7 @@ def test_criterion_7():
 def test_criterion_8(tmp_path):
     """Re-running an experiment with the same spec is byte-identical."""
     for kind, extra in (("gap-pdf", {}),
-                        ("sweep", {"sweep": (0.3, 0.7), "K": 16,
-                                   "raw": True})):
+                        ("sweep", {"sweep": (0.3, 0.7), "K": 16})):
         paths = []
         for run in ("first", "second"):
             out = tmp_path / f"{kind}-{run}.csv"

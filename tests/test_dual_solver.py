@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -395,6 +397,23 @@ class TestSolve:
             solve(gains, cfg.weights, 0.0, Protocol.PROPOSED)
         with pytest.raises(ValueError):
             solve(gains, (1.0,), cfg.p_tot, Protocol.PROPOSED)
+        for name, value in (("g_su", -1e-3), ("g_ru", np.nan),
+                            ("g_sr", np.inf)):
+            bad = getattr(gains, name).copy()
+            bad[0] = value
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                solve(dataclasses.replace(gains, **{name: bad}), cfg.weights,
+                      cfg.p_tot, Protocol.PROPOSED)
+
+    def test_huge_distance_is_a_dead_relay(self):
+        # The relay-user distance overflows to inf, which is zero gain.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg, gains = random_gains(17, K=8, U=3, d_km=1e300)
+            assert not gains.g_sr.any() and not gains.g_ru.any()
+            for protocol in Protocol:
+                _, report = solve(gains, cfg.weights, cfg.p_tot, protocol)
+                assert report.n_sp == 0 and report.wsr > 0
 
 
 class TestEvaluateWsr:

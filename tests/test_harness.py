@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from ofdma_relay import cli
+from ofdma_relay import cli, harness
 from ofdma_relay.cli import main
 from ofdma_relay.config import ConfigError
 from ofdma_relay.harness import (CSV_COLUMNS, FIELDS, SWEEP_COLUMNS,
-                                 ExperimentSpec, run_gap_pdf, run_single,
-                                 run_sweep_distance, run_validate)
+                                 ExperimentSpec, TrialRecord, run_gap_pdf,
+                                 run_single, run_sweep_distance, run_validate)
 
 
 class TestExperimentSpec:
@@ -30,11 +30,15 @@ class TestExperimentSpec:
         dict(kind="solve", snr_db="20"), dict(kind="solve", K=8.5),
         dict(kind="solve", K=True), dict(trials="1"),
         dict(protocols=(["bp1"],)), dict(refill=1),
-        dict(kind="sweep", sweep=(0.5,), raw="yes"), dict(out=5),
+        dict(out=""), dict(out=5),
         dict(protocols=["proposed"]), dict(kind="sweep", sweep=0.5),
         dict(kind="sweep", sweep=(0.3, "0.5")),
         dict(kind="sweep", sweep=(0.3, False)), dict(seed=-1),
         dict(protocols=("bp1", "bp1")), dict(kind="solve", K=0), dict(U=0),
+        dict(kind="sweep", sweep=(0.5, 0.5)),
+        dict(kind="sweep", sweep=(0.3, -0.5)),
+        dict(kind="sweep", sweep=(0.3, 0)), dict(kind="solve", d_km=0.0),
+        dict(kind="solve", d_km=-1),
     ])
     def test_invalid_rejected(self, kw):
         base = dict(kind="gap-pdf")
@@ -80,7 +84,7 @@ class TestGapPdf:
     def test_trials_are_reproducible_in_isolation(self):
         long = run_gap_pdf(ExperimentSpec(kind="gap-pdf", trials=4, seed=7))
         short = run_gap_pdf(ExperimentSpec(kind="gap-pdf", trials=1, seed=10))
-        assert long[3].csv_row() == short[0].csv_row()
+        assert long[3] == short[0]
 
 
 class TestSweep:
@@ -88,7 +92,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         spec = ExperimentSpec(kind="sweep", trials=3, sweep=(0.3, 0.7),
                               K=8, protocols=("proposed", "bp1"), seed=5,
-                              raw=True, out=str(out))
+                              out=str(out))
         rows, raw = run_sweep_distance(spec)
         assert len(rows) == 4 and len(raw) == 12
         for row in rows:
@@ -104,6 +108,21 @@ class TestSweep:
         assert (tmp_path / "sweep.raw.csv").exists()
         sidecar = json.loads((tmp_path / "sweep.spec.json").read_text())
         assert sorted(sidecar["spec"]) == sorted(("kind",) + FIELDS["sweep"])
+
+    def test_out_always_writes_raw_rows(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        spec = ExperimentSpec(kind="sweep", trials=2, sweep=(0.3, 0.7), K=8,
+                              protocols=("proposed", "bp2"), seed=3,
+                              out=str(out))
+        _, raw = run_sweep_distance(spec)
+        with open(tmp_path / "sweep.raw.csv") as fh:
+            header, *rows = csv.reader(fh)
+        assert tuple(header) == CSV_COLUMNS
+        # Floats are written as repr, so parsing them back is exact.
+        types = [f.type for f in dataclasses.fields(TrialRecord)]
+        parse = {"int": int, "float": float, "str": str}
+        assert [TrialRecord(*(parse[t](v) for t, v in zip(types, row)))
+                for row in rows] == raw
 
     def test_same_channel_for_every_protocol(self):
         spec = ExperimentSpec(kind="sweep", trials=2, sweep=(0.5,), K=8,
@@ -254,13 +273,35 @@ class TestCli:
         assert "Traceback" in err
 
     def test_eps_is_no_longer_an_option(self, tmp_path):
-        # The bisection tolerance is a fixed module constant.
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--k", "8", "--eps", "1e-6"])
-        assert exc.value.code == 2
+        # The bisection tolerance is a fixed module constant, and sweep
+        # --out always writes its per-trial rows, so --raw is gone too.
+        for argv in (["solve", "--k", "8", "--eps", "1e-6"],
+                     ["sweep", "--d-list", "0.5", "--raw"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
         cfg = tmp_path / "eps.json"
         cfg.write_text(json.dumps({"K": 8, "eps": 1e-6}))
         assert main(["solve", "--config", str(cfg)]) == 2
+        cfg.write_text(json.dumps({"raw": True}))
+        for command in FIELDS:
+            assert main([command, "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--trials", "2", "--k", "8", "--d-list", "0.3", "-0.5"],
+        ["sweep", "--trials", "2", "--k", "8", "--d-list", "0.3", "0"],
+        ["sweep", "--trials", "2", "--k", "4", "--d-list", "0.5", "0.5",
+         "--out", "r.csv"],
+        ["gap-pdf", "--trials", "1", "--out", ""],
+    ])
+    def test_bad_sweep_list_or_empty_out_exits_before_solving(
+            self, monkeypatch, capsys, argv):
+        # A call to solve would exit 4, so exit 2 shows that no trial ran.
+        def fail(*args, **kwargs):
+            raise AssertionError("solve was called")
+        monkeypatch.setattr(harness, "solve", fail)
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_sweep_requires_distances(self):
         assert main(["sweep", "--trials", "1"]) == 2
@@ -270,3 +311,4 @@ class TestCli:
         code = main(["sweep", "--trials", "1", "--k", "8", "--d-list", "0.5",
                      "--out", str(out)])
         assert code == 0 and out.exists()
+        assert (tmp_path / "s.raw.csv").exists()
