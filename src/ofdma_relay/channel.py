@@ -2,7 +2,9 @@
 
 The source sits at the origin, the relay on the segment toward the user-region
 center. Each link is a tapped delay line with i.i.d. circularly symmetric
-complex Gaussian taps whose total energy follows a power-law path loss.
+complex Gaussian taps whose total energy follows a power-law path loss. The
+paper's system model fixes the user region, the path-loss exponent and its
+reference distance, so they are module constants, not scenario fields.
 
 Random numbers come from an explicitly passed ``numpy.random.Generator``
 (PCG64, 64-bit seed). Draw order is fixed so results are reproducible:
@@ -18,6 +20,10 @@ import numpy as np
 
 from .config import SystemConfig
 
+CENTER_KM = 1.0          # source to user-region center
+REGION_RADIUS_KM = 0.05  # radius of the user disk
+PATHLOSS_EXP = 2.5
+D_REF_KM = 1.0           # distance of unit mean path gain
 # Path-loss models break down in the near field; clamp distances at 1 m.
 MIN_DISTANCE_KM = 1e-3
 
@@ -55,11 +61,11 @@ def _box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
 def sample_geometry(cfg: SystemConfig, rng: np.random.Generator) -> Geometry:
     """Place the relay and draw user positions uniformly over the disk."""
     relay = np.array([cfg.d_km, 0.0])
-    center = np.array([cfg.center_km, 0.0])
+    center = np.array([CENTER_KM, 0.0])
     # Area-uniform disk sampling: radius = R*sqrt(u1), angle = 2*pi*u2.
     u1 = rng.random(cfg.U)
     u2 = rng.random(cfg.U)
-    radius = cfg.region_radius_km * np.sqrt(u1)
+    radius = REGION_RADIUS_KM * np.sqrt(u1)
     angle = 2.0 * np.pi * u2
     users = center + np.stack([radius * np.cos(angle),
                                radius * np.sin(angle)], axis=1)
@@ -73,9 +79,9 @@ def sample_geometry(cfg: SystemConfig, rng: np.random.Generator) -> Geometry:
 
 def sample_impulse_response(distance_km: float, cfg: SystemConfig,
                             rng: np.random.Generator) -> np.ndarray:
-    """L complex taps with per-tap variance (1/L)*(d/d_ref)^(-pathloss_exp)."""
+    """L complex taps of per-tap variance (1/L)*(d/D_REF_KM)^-PATHLOSS_EXP."""
     d = max(distance_km, MIN_DISTANCE_KM)
-    var = (d / cfg.d_ref_km) ** (-cfg.pathloss_exp) / cfg.taps
+    var = (d / D_REF_KM) ** (-PATHLOSS_EXP) / cfg.taps
     # Real/imag parts are independent zero-mean Gaussians of variance var/2.
     re = _box_muller(rng, cfg.taps)
     im = _box_muller(rng, cfg.taps)

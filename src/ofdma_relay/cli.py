@@ -17,7 +17,7 @@ import traceback
 from .config import ConfigError
 from .dual_solver import Protocol
 from .harness import (FIELDS, ExperimentSpec, HarnessIOError, run_gap_pdf,
-                      run_single, run_sweep_distance, run_validate)
+                      run_single, run_sweep_distance, run_validate, to_json)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -91,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         spec = _merge_spec(args)
         if spec.kind == "solve":
             result = run_single(spec)
-            print(json.dumps(result, indent=2, sort_keys=True))
+            print(to_json(result))
         elif spec.kind == "gap-pdf":
             records = run_gap_pdf(spec)
             worst = max((r.delta for r in records), default=0.0)
@@ -101,8 +101,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"sweep: {len(rows)} aggregate rows")
         else:
             verdict = run_validate(spec)
-            print(json.dumps({k: v for k, v in verdict.items()
-                              if k != "results"}, indent=2, sort_keys=True))
+            print(to_json({k: v for k, v in verdict.items()
+                           if k != "results"}))
             if not verdict["pass"]:
                 return EXIT_VALIDATION
     except ConfigError as exc:

@@ -23,11 +23,7 @@ class SystemConfig:
     ptot_over_sigma2_db: float  # total power over noise power, dB
     weights: tuple[float, ...]  # per-user positive weights
     seed: int = 0
-    center_km: float = 1.0      # source to user-region center
-    region_radius_km: float = 0.05
     taps: int = 6               # impulse-response length L
-    pathloss_exp: float = 2.5
-    d_ref_km: float = 1.0
 
     def __post_init__(self):
         if self.K < 1:
@@ -41,14 +37,9 @@ class SystemConfig:
             raise ConfigError("all weights must be finite and strictly positive")
         if not (1 <= self.taps <= self.K):
             raise ConfigError(f"taps must satisfy 1 <= taps <= K, got {self.taps}")
-        for name in ("d_km", "center_km", "d_ref_km"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, "
-                                  f"got {value}")
-        if not (math.isfinite(self.region_radius_km)
-                and self.region_radius_km >= 0):
-            raise ConfigError("region_radius_km must be finite and nonnegative")
+        if not (math.isfinite(self.d_km) and self.d_km > 0):
+            raise ConfigError(
+                f"d_km must be finite and positive, got {self.d_km}")
         try:
             p_tot = self.p_tot
         except OverflowError:

@@ -151,11 +151,10 @@ def _lambda_array(w: np.ndarray, mu: float, g: np.ndarray) -> np.ndarray:
         return np.maximum(w * LOG2E / (2.0 * mu) - 1.0 / g, 0.0)
 
 
-def _metric_array(w: np.ndarray, mu: float,
-                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel Lagrangian contribution w*R(g*lam) - mu*lam and lam."""
+def _score(w: np.ndarray, mu: float, g: np.ndarray) -> np.ndarray:
+    """Per-channel Lagrangian contribution w*R(g*lam) - mu*lam at best lam."""
     lam = _lambda_array(w, mu, g)
-    return w * 0.5 * np.log2(1.0 + g * lam) - mu * lam, lam
+    return w * 0.5 * np.log2(1.0 + g * lam) - mu * lam
 
 
 @dataclass
@@ -169,9 +168,7 @@ class LrpMetrics:
     """
 
     a_pair: np.ndarray        # (K, M, U) relay-aided scores
-    lam_pair: np.ndarray      # (K, M, U) matching pair powers
     d_term: np.ndarray        # (K, U) direct scores, either slot
-    d_lam: np.ndarray         # (K, U)
     c: np.ndarray             # (K, M) best score per candidate pair
 
 
@@ -180,30 +177,29 @@ def lrp_metrics(table: PairGainTable, weights: np.ndarray,
     if mu <= 0:
         raise ValueError(f"multiplier must be positive, got {mu}")
     w = np.asarray(weights, dtype=float)
-    a_pair, lam_pair = _metric_array(w[None, None, :], mu, table.g_eff)
-    d_term, d_lam = _metric_array(w[None, :], mu, table.direct)
+    a_pair = _score(w[None, None, :], mu, table.g_eff)
+    d_term = _score(w[None, :], mu, table.direct)
     d_best = d_term.max(axis=1)
     c = np.maximum(a_pair.max(axis=2), d_best[:, None] + d_best[table.cols])
-    return LrpMetrics(a_pair=a_pair, lam_pair=lam_pair, d_term=d_term,
-                      d_lam=d_lam, c=c)
+    return LrpMetrics(a_pair=a_pair, d_term=d_term, c=c)
 
 
 @dataclass
 class LrpOutcome:
-    """Inner-maximization solution at one multiplier, in compact form.
+    """Inner-maximization solution at one multiplier, as 2K channels.
 
-    A subcarrier used for direct transmission, in either slot, carries its
-    best direct user at that user's power.
+    Row k of the matching is its relay-aided pair (k, perm[k]) on channel 0
+    with channel 1 empty (g = 0), or two direct transmissions: k on channel
+    0 and perm[k] on channel 1, each to that subcarrier's best direct user.
+    Every channel is water-filled by the same rule, _lambda_array.
     """
 
     mu: float
-    col: np.ndarray          # (K,) candidate column of the table matched to k
     perm: np.ndarray         # (K,) second-slot subcarrier matched to k
     relay_mask: np.ndarray   # (K,) True where the matched pair is relay-aided
-    pair_user: np.ndarray    # (K,)
-    pair_power: np.ndarray   # (K,) total pair power
-    d_user: np.ndarray       # (K,) direct user per subcarrier
-    d_power: np.ndarray      # (K,)
+    user: np.ndarray         # (2, K) user of each channel
+    g: np.ndarray            # (2, K) gain of each channel
+    power: np.ndarray        # (2, K) power of each channel
     l_value: float
     subgrad: float
 
@@ -221,25 +217,31 @@ def solve_lrp(table: PairGainTable, weights, mu: float,
         col = np.zeros(table.K, dtype=int)
     perm = table.cols[ks, col]
 
-    pair_scores = m.a_pair[ks, col, :]
-    pair_best = pair_scores.max(axis=1)
+    # Best users by argmax (it prefers the lowest index), and their scores
+    # read back at it, which is cheaper than a second reduction.
+    pair_scores = m.a_pair[ks, col]
     pair_user = pair_scores.argmax(axis=1)
+    pair_best = pair_scores[ks, pair_user]
     d_user = m.d_term.argmax(axis=1)
-    d_best = m.d_term.max(axis=1)
+    d_best = m.d_term[ks, d_user]
     direct_best = d_best + d_best[perm]
     # Direct mode wins ties, so a pair that would carry no power is not
-    # reported as relay-aided; argmax already prefers the lowest user index.
-    relay_mask = pair_best > direct_best
-    pair_power = m.lam_pair[ks, col, pair_user]
-    d_power = m.d_lam[ks, d_user]
-
-    total = float(np.where(relay_mask, pair_power,
-                           d_power + d_power[perm]).sum())
+    # reported as relay-aided.
+    relay = pair_best > direct_best
+    # A direct row's channels are subcarriers k and perm[k], each to its best
+    # direct user; a relay-aided row puts its pair on channel 0 instead and
+    # leaves channel 1 empty (g = 0).
+    sc = np.array([ks, perm])
+    user = d_user[sc]
+    np.copyto(user[0], pair_user, where=relay)
+    g = table.direct[sc, user]
+    np.copyto(g[0], table.g_eff[ks, col, pair_user], where=relay)
+    np.copyto(g[1], 0.0, where=relay)
+    power = _lambda_array(w[user], mu, g)
     l_value = mu * p_tot + float(np.maximum(pair_best, direct_best).sum())
-    return LrpOutcome(mu=mu, col=col, perm=perm, relay_mask=relay_mask,
-                      pair_user=pair_user, pair_power=pair_power,
-                      d_user=d_user, d_power=d_power,
-                      l_value=l_value, subgrad=p_tot - total)
+    return LrpOutcome(mu=mu, perm=perm, relay_mask=relay, user=user, g=g,
+                      power=power, l_value=l_value,
+                      subgrad=p_tot - float((power[0] + power[1]).sum()))
 
 
 def pair_assignments(gains: GainTable, protocol: Protocol, k: np.ndarray,
@@ -252,23 +254,19 @@ def pair_assignments(gains: GainTable, protocol: Protocol, k: np.ndarray,
         s.p_r.tolist())]
 
 
-def _directs(outcome: LrpOutcome,
-             subcarriers: np.ndarray) -> list[DirectAssignment]:
-    return [DirectAssignment(*x) for x in zip(
-        subcarriers.tolist(), outcome.d_user[subcarriers].tolist(),
-        outcome.d_power[subcarriers].tolist())]
-
-
 def _materialize(outcome: LrpOutcome, gains: GainTable,
                  protocol: Protocol) -> Allocation:
     """Turn a compact LRP solution into an explicit feasible allocation."""
     relay = outcome.relay_mask
     k = np.flatnonzero(relay)
     pairs = pair_assignments(gains, protocol, k, outcome.perm[k],
-                             outcome.pair_user[k], outcome.pair_power[k])
+                             outcome.user[0, k], outcome.power[0, k])
     direct = np.flatnonzero(~relay)
-    return Allocation(pairs=pairs, directs_1=_directs(outcome, direct),
-                      directs_2=_directs(outcome, outcome.perm[direct]))
+    directs = [[DirectAssignment(*x) for x in zip(
+        subcarriers.tolist(), outcome.user[slot, direct].tolist(),
+        outcome.power[slot, direct].tolist())]
+        for slot, subcarriers in enumerate((direct, outcome.perm[direct]))]
+    return Allocation(pairs=pairs, directs_1=directs[0], directs_2=directs[1])
 
 
 def evaluate_wsr(alloc: Allocation, gains: GainTable, weights,
@@ -338,29 +336,13 @@ def _water_level(w: np.ndarray, g: np.ndarray, p_tot: float) -> float:
     return float(mu[np.flatnonzero(mu < 0.5 * LOG2E * w * g)[-1]])
 
 
-def _refill(outcome: LrpOutcome, table: PairGainTable, weights,
-            p_tot: float) -> LrpOutcome:
-    """Spend residual budget by water-filling at the fixed assignment."""
-    w = np.asarray(weights, dtype=float)
-    ks = np.arange(table.K)
-    relay = outcome.relay_mask
-    pair_w = w[outcome.pair_user]
-    pair_g = table.g_eff[ks, outcome.col, outcome.pair_user]
-    d_w = w[outcome.d_user]
-    d_g = table.direct[ks, outcome.d_user]
-    # The channels in use: each relay-aided pair, and each direct row's
-    # first-slot subcarrier k and second-slot subcarrier perm[k].
-    direct = np.flatnonzero(~relay)
-    used = np.concatenate([direct, outcome.perm[direct]])
-    ch_w = np.concatenate([pair_w[relay], d_w[used]])
-    ch_g = np.concatenate([pair_g[relay], d_g[used]])
-    if not np.any(ch_g > 0):
+def _refill(outcome: LrpOutcome, weights, p_tot: float) -> LrpOutcome:
+    """Spend residual budget by re-levelling the chosen channels."""
+    if not np.any(outcome.g > 0):
         return outcome
-    mu = _water_level(ch_w, ch_g, p_tot)
-    return replace(
-        outcome,
-        pair_power=np.where(relay, _lambda_array(pair_w, mu, pair_g), 0.0),
-        d_power=_lambda_array(d_w, mu, d_g))
+    w = np.asarray(weights, dtype=float)[outcome.user]
+    mu = _water_level(w.ravel(), outcome.g.ravel(), p_tot)
+    return replace(outcome, power=_lambda_array(w, mu, outcome.g))
 
 
 def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
@@ -401,21 +383,20 @@ def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
         final = solve_lrp(table, w, mu_hi, p_tot)
 
     if refill:  # keeps final.mu
-        final = _refill(final, table, w, p_tot)
+        final = _refill(final, w, p_tot)
     alloc = _materialize(final, gains, protocol)
     wsr = evaluate_wsr(alloc, gains, w, protocol, p_tot)
 
     # Certified gap of the returned allocation: the optimum is at most the
     # dual value L(mu_final), so slack = L(mu_final) - wsr bounds the
-    # shortfall. Without refill this equals mu_final * subgrad(mu_final)
-    # exactly; refill raises wsr and tightens the certificate.
-    slack = final.l_value - wsr
-    if mode is SolveMode.EXACT_STATIONARY or slack <= 0.0:
-        delta = 0.0
-    elif wsr > 0.0:
+    # shortfall on every exit. Without refill this is mu_final *
+    # subgrad(mu_final), which an exact-stationary exit leaves at up to
+    # mu_final * 1e-9 * p_tot; refill raises wsr and tightens the certificate.
+    slack = max(final.l_value - wsr, 0.0)
+    if wsr > 0.0:
         delta = slack / wsr
     else:
-        delta = math.inf
+        delta = math.inf if slack > 0.0 else 0.0
     report = SolveReport(wsr=wsr, mode=mode, delta=delta,
                          n_sp=len(alloc.pairs), mu_final=final.mu,
                          iterations=iterations)

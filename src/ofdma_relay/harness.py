@@ -236,7 +236,7 @@ def run_single(spec: ExperimentSpec) -> dict:
                           refill=spec.refill)
         result["reports"][name] = {
             "wsr": report.wsr, "mode": report.mode.value,
-            "delta": report.delta, "n_sp": report.n_sp,
+            "delta": _json_delta(report.delta), "n_sp": report.n_sp,
             "mu_final": report.mu_final, "iterations": report.iterations,
         }
     if spec.out:
@@ -294,7 +294,8 @@ def run_validate(spec: ExperimentSpec) -> dict:
 
         trials.append({"seed": seed, "protocol": name, "K": K, "U": U,
                        "solver_wsr": report.wsr, "oracle_wsr": ref.wsr,
-                       "delta": report.delta, "discrepancy": disc,
+                       "delta": _json_delta(report.delta),
+                       "discrepancy": disc,
                        "pass": passed, "audit_rejects_overrun": audit_ok})
     verdict = {"pass": ok, "trials": len(trials),
                "max_relative_discrepancy": max_disc, "results": trials}
@@ -344,7 +345,17 @@ def _write_spec_sidecar(path: Path, spec: ExperimentSpec,
     _dump_json(path.with_suffix(".spec.json"), payload)
 
 
+def _json_delta(delta: float) -> float | None:
+    """delta for a JSON report: an infinite gap (wsr 0) is null."""
+    return delta if math.isfinite(delta) else None
+
+
+def to_json(payload: dict) -> str:
+    """Every JSON output's text: strict RFC 8259, so a non-finite float
+    raises ValueError instead of being written as NaN or Infinity."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _dump_json(path: Path, payload: dict) -> None:
     with _open_for_write(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(to_json(payload) + "\n")

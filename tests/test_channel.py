@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from ofdma_relay.channel import (MIN_DISTANCE_KM, build_gain_table,
-                                 sample_geometry, sample_impulse_response,
+from ofdma_relay import channel
+from ofdma_relay.channel import (CENTER_KM, MIN_DISTANCE_KM, REGION_RADIUS_KM,
+                                 build_gain_table, sample_geometry,
+                                 sample_impulse_response,
                                  taps_to_subcarrier_gains)
 from ofdma_relay.config import ConfigError, SystemConfig
 
@@ -23,7 +25,6 @@ class TestConfig:
         dict(weights=(1.0,)), dict(taps=9), dict(taps=0), dict(d_km=0.0),
         dict(d_km=float("nan")), dict(d_km=float("inf")),
         dict(weights=(1.0, float("nan"))), dict(weights=(1.0, float("inf"))),
-        dict(center_km=float("nan")), dict(region_radius_km=float("inf")),
         dict(ptot_over_sigma2_db=float("nan")),
         dict(ptot_over_sigma2_db=float("inf")),
         dict(ptot_over_sigma2_db=4000.0), dict(ptot_over_sigma2_db=-4000.0),
@@ -34,15 +35,16 @@ class TestConfig:
 
 
 class TestGeometry:
-    def test_degenerate_disk_puts_users_at_center(self):
-        cfg = make_cfg(region_radius_km=0.0)
+    def test_degenerate_disk_puts_users_at_center(self, monkeypatch):
+        monkeypatch.setattr(channel, "REGION_RADIUS_KM", 0.0)
+        cfg = make_cfg()
         geo = sample_geometry(cfg, np.random.default_rng(0))
-        assert geo.d_su == pytest.approx([cfg.center_km] * cfg.U)
+        assert geo.d_su == pytest.approx([CENTER_KM] * cfg.U)
 
     def test_relay_at_center_bounds_relay_user_distance(self):
-        cfg = make_cfg(d_km=1.0, center_km=1.0, region_radius_km=0.05)
+        cfg = make_cfg(d_km=CENTER_KM)
         geo = sample_geometry(cfg, np.random.default_rng(1))
-        assert np.all(geo.d_ru <= cfg.region_radius_km + 1e-12)
+        assert np.all(geo.d_ru <= REGION_RADIUS_KM + 1e-12)
 
     def test_distances_match_coordinates(self):
         cfg = make_cfg()
@@ -55,9 +57,9 @@ class TestGeometry:
     def test_mean_distance_from_center_is_two_thirds_radius(self):
         # E[r] = 2R/3 under area-uniform disk sampling.
         n = 100_000
-        cfg = make_cfg(U=n, weights=(1.0,) * n, region_radius_km=0.05)
+        cfg = make_cfg(U=n, weights=(1.0,) * n)
         geo = sample_geometry(cfg, np.random.default_rng(3))
-        center = np.array([cfg.center_km, 0.0])
+        center = np.array([CENTER_KM, 0.0])
         r = np.linalg.norm(geo.user_pos - center, axis=1)
         assert r.mean() == pytest.approx(2 * 0.05 / 3, rel=0.01)
 

@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 from ofdma_relay import dual_solver
 from ofdma_relay.channel import GainTable, build_gain_table
 from ofdma_relay.config import SystemConfig
-from ofdma_relay.harness import _draw_weights
+from ofdma_relay.harness import _draw_weights, _scenario
 from ofdma_relay.dual_solver import (LOG2E, InfeasibleAllocationError,
                                      PairGainTable, Protocol, SolveMode,
                                      _lambda_array, _refill,
@@ -128,7 +128,8 @@ class TestLrpMetrics:
                               direct=np.ones((1, 1)))
         m = lrp_metrics(table, np.array([1.0]), mu)
         lam = LOG2E / (2 * mu) - 1 / 2.5
-        assert m.lam_pair[0, 0, 0] == pytest.approx(lam)
+        out = solve_lrp(table, np.array([1.0]), mu, 1.0)
+        assert out.relay_mask[0] and out.power[0, 0] == pytest.approx(lam)
         a = 0.5 * math.log2(1 + 2.5 * lam) - mu * lam
         assert m.a_pair[0, 0, 0] == pytest.approx(a)
         assert m.a_pair[0, 0, 0] == pytest.approx(
@@ -266,8 +267,26 @@ class TestSolve:
                 alloc, report = solve(gains, cfg.weights, cfg.p_tot, protocol)
                 assert alloc.total_power() <= cfg.p_tot * (1 + 1e-9)
                 assert report.delta >= 0.0
-                if report.mode is SolveMode.EXACT_STATIONARY:
-                    assert report.delta == 0.0
+                table = build_pair_gain_table(gains, protocol)
+                dual = solve_lrp(table, cfg.weights, report.mu_final,
+                                 cfg.p_tot).l_value
+                assert report.wsr * (1 + report.delta) >= dual * (1 - 1e-12)
+
+    def test_exact_stationary_delta_covers_slack(self):
+        # Drawn as `solve --k 8 --users 3 --snr-db 10 --seed 253` draws it:
+        # the exit is exact-stationary, yet L(mu_final) exceeds wsr by about
+        # 1.8e-9, far above round-off, so delta = 0 would not be a bound.
+        rng = np.random.default_rng(253)
+        cfg = _scenario(rng, 253, 8, 3, 0.5, 10.0)
+        _, gains = build_gain_table(cfg, rng)
+        _, report = solve(gains, cfg.weights, cfg.p_tot, Protocol.PROPOSED)
+        table = build_pair_gain_table(gains, Protocol.PROPOSED)
+        dual = solve_lrp(table, cfg.weights, report.mu_final,
+                         cfg.p_tot).l_value
+        assert report.mode is SolveMode.EXACT_STATIONARY
+        assert dual - report.wsr > 1e-10 * report.wsr
+        assert report.delta == pytest.approx((dual - report.wsr) / report.wsr,
+                                             rel=1e-6)
 
     def test_weak_duality(self):
         # Any feasible value is below the dual function at every multiplier.
@@ -342,20 +361,21 @@ class TestSolve:
             table = build_pair_gain_table(gains, Protocol.PROPOSED)
             w = np.asarray(cfg.weights)
             mu = mu_upper_bound(6, float(w.max()), cfg.p_tot)
-            out = _refill(solve_lrp(table, w, mu, cfg.p_tot), table, w,
-                          cfg.p_tot)
+            out = _refill(solve_lrp(table, w, mu, cfg.p_tot), w, cfg.p_tot)
             ws, gs, xs = [], [], []
             for k in range(6):
-                l, u = out.perm[k], out.pair_user[k]
+                l, u = out.perm[k], out.user[0, k]
                 if out.relay_mask[k]:
                     ws.append(w[u])
                     gs.append(table.g_eff[k, l, u])
-                    xs.append(out.pair_power[k])
+                    xs.append(out.power[0, k])
+                    assert out.power[1, k] == 0.0
                     continue
-                for sc in (k, l):
-                    ws.append(w[out.d_user[sc]])
-                    gs.append(gains.g_su[sc, out.d_user[sc]])
-                    xs.append(out.d_power[sc])
+                for slot, sc in enumerate((k, l)):
+                    u = out.user[slot, k]
+                    ws.append(w[u])
+                    gs.append(gains.g_su[sc, u])
+                    xs.append(out.power[slot, k])
             assert 0.0 in gs
             assert xs == pytest.approx(_water_fill(ws, gs, cfg.p_tot),
                                        rel=1e-9, abs=1e-12 * cfg.p_tot)

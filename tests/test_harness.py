@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -168,6 +169,31 @@ class TestCli:
         code = main(["validate", "--k", "3", "--users", "2", "--trials", "3",
                      "--protocol", "proposed"])
         assert code == 0
+
+    def test_json_output_is_strict(self, tmp_path, capsys, monkeypatch):
+        # RFC 8259 has no Infinity, so an infinite gap (wsr 0 < slack) is
+        # written as null; here every solve reports one.
+        real_solve = harness.solve
+
+        def infinite_gap(*args, **kwargs):
+            alloc, report = real_solve(*args, **kwargs)
+            return alloc, dataclasses.replace(report, delta=math.inf)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        monkeypatch.setattr(harness, "solve", infinite_gap)
+        solved, validated = tmp_path / "s.json", tmp_path / "v.json"
+        assert main(["solve", "--k", "4", "--out", str(solved)]) == 0
+        for text in (capsys.readouterr().out, solved.read_text()):
+            report = json.loads(text, parse_constant=reject)["reports"]
+            assert report["proposed"]["delta"] is None
+        main(["validate", "--k", "3", "--users", "2", "--trials", "2",
+              "--out", str(validated)])
+        assert "pass" in json.loads(capsys.readouterr().out,
+                                    parse_constant=reject)
+        results = json.loads(validated.read_text(),
+                             parse_constant=reject)["results"]
+        assert [r["delta"] for r in results] == [None, None]
 
     def test_validate_size_guard_is_config_error(self):
         assert main(["validate", "--k", "9"]) == 2
