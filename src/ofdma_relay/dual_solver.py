@@ -326,23 +326,34 @@ def _water_level(w: np.ndarray, g: np.ndarray, p_tot: float) -> float:
     Channel i is active while mu < w_i*g_i*log2(e)/2. Taking channels in
     decreasing order of that threshold, the level with the first n active
     is mu_n = (log2(e)/2)*sum(w) / (p_tot + sum(1/g)); the answer is the
-    largest n whose mu_n lies below its own threshold. Needs some g > 0.
+    largest n whose mu_n lies below its own threshold. Once p_tot*g is
+    below about 1e-16, mu_1 rounds to the top threshold and no n passes;
+    the top channel alone (n = 1) is then the answer. Needs some g > 0.
     """
     live = g > 0
     w, g = w[live], g[live]
     order = np.argsort(-(w * g), kind="stable")
     w, g = w[order], g[order]
     mu = 0.5 * LOG2E * np.cumsum(w) / (p_tot + np.cumsum(1.0 / g))
-    return float(mu[np.flatnonzero(mu < 0.5 * LOG2E * w * g)[-1]])
+    passing = np.flatnonzero(mu < 0.5 * LOG2E * w * g)
+    return float(mu[passing[-1] if passing.size else 0])
 
 
 def _refill(outcome: LrpOutcome, weights, p_tot: float) -> LrpOutcome:
-    """Spend residual budget by re-levelling the chosen channels."""
+    """Spend residual budget by re-levelling the chosen channels.
+
+    When p_tot*g << 1 the two terms of each power nearly cancel, so the
+    re-levelled sum can exceed p_tot by rounding; it is then scaled back.
+    """
     if not np.any(outcome.g > 0):
         return outcome
     w = np.asarray(weights, dtype=float)[outcome.user]
     mu = _water_level(w.ravel(), outcome.g.ravel(), p_tot)
-    return replace(outcome, power=_lambda_array(w, mu, outcome.g))
+    power = _lambda_array(w, mu, outcome.g)
+    total = float(power.sum())
+    if total > p_tot:
+        power *= p_tot / total
+    return replace(outcome, power=power)
 
 
 def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,

@@ -19,7 +19,7 @@ from .channel import build_gain_table
 from .config import ConfigError, SystemConfig
 from .dual_solver import (InfeasibleAllocationError, Protocol, SolveMode,
                           evaluate_wsr, solve)
-from .oracle import oracle_solve
+from .oracle import MAX_K, MAX_U, oracle_solve
 
 GAP_D_RANGE = (0.1, 0.9)
 GAP_K_CHOICES = (8, 16, 32, 64, 128)
@@ -246,9 +246,10 @@ def run_single(spec: ExperimentSpec) -> dict:
 
 def run_validate(spec: ExperimentSpec) -> dict:
     """Solver-vs-oracle comparison plus a feasibility-audit negative test."""
-    if spec.K > 4 or spec.U > 2:
+    if spec.K > MAX_K or spec.U > MAX_U:
         raise ConfigError(
-            f"validate requires K <= 4 and U <= 2, got K={spec.K}, U={spec.U}")
+            f"validate requires K <= {MAX_K} and U <= {MAX_U}, "
+            f"got K={spec.K}, U={spec.U}")
     trials = []
     ok = True
     max_disc = 0.0

@@ -2,13 +2,12 @@
 
 Enumerates every discrete configuration (partial matching between the two
 slots, user per pair, user per direct subcarrier) and solves the continuous
-power subproblem per configuration by bisecting a scalar water level. Kept
+power subproblem per configuration by exact active-set water-filling. Kept
 deliberately independent of the dual solver's multiplier machinery.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -21,8 +20,6 @@ from .dual_solver import (Allocation, DirectAssignment, Protocol,
 
 MAX_K = 5
 MAX_U = 3
-
-LOG2E = math.log2(math.e)
 
 
 class OracleSizeError(ValueError):
@@ -39,7 +36,6 @@ class Configuration(NamedTuple):
 class OracleResult:
     wsr: float
     allocation: Allocation
-    enumerated: int
 
 
 def _check_size(K: int, U: int) -> None:
@@ -86,36 +82,26 @@ def enumerate_configurations(K: int, U: int,
 
 def _water_fill(ws: list[float], gs: list[float],
                 p_tot: float) -> list[float]:
-    """Powers maximizing sum w_i*R(g_i*x_i) with sum x_i = p_tot, x >= 0."""
-    if not any(g > 0 for g in gs):
-        return [0.0] * len(gs)
+    """Powers maximizing sum w_i*R(g_i*x_i) with sum x_i = p_tot, x >= 0.
 
-    def powers(mu: float) -> list[float]:
-        return [max(w * LOG2E / (2.0 * mu) - 1.0 / g, 0.0) if g > 0 else 0.0
-                for w, g in zip(ws, gs)]
-
-    hi = max(ws) * LOG2E * len(ws) / (2.0 * p_tot)
-    while sum(powers(hi)) > p_tot:
-        hi *= 2.0
-    lo = hi
-    while sum(powers(lo)) < p_tot:
-        lo /= 2.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if sum(powers(mid)) > p_tot:
-            lo = mid
-        else:
-            hi = mid
-    # Exact water level for the active set found by the bisection.
-    xs = powers(0.5 * (lo + hi))
-    active = [i for i, x in enumerate(xs) if x > 0]
-    if not active:
-        return xs
-    nu = (p_tot + sum(1.0 / gs[i] for i in active)) \
-        / sum(ws[i] for i in active)
+    Exact active-set water-filling (Boyd & Vandenberghe, Convex
+    Optimization, Ex. 5.2). On the active set A the level is
+    nu = (p_tot + sum_A 1/g) / sum_A w and x_i = w_i*nu - 1/g_i. Starting
+    from the live channels (g > 0), every channel with w_i*nu < 1/g_i is
+    dropped and nu recomputed. Dropping only lowers nu, so a dropped
+    channel never returns and at most n passes run.
+    """
+    active = [i for i, g in enumerate(gs) if g > 0]
+    while active:
+        nu = (p_tot + sum(1.0 / gs[i] for i in active)) \
+            / sum(ws[i] for i in active)
+        kept = [i for i in active if ws[i] * nu >= 1.0 / gs[i]]
+        if len(kept) == len(active):
+            break
+        active = kept
     xs = [0.0] * len(gs)
     for i in active:
-        xs[i] = max(ws[i] * nu - 1.0 / gs[i], 0.0)
+        xs[i] = ws[i] * nu - 1.0 / gs[i]
     return xs
 
 
@@ -130,9 +116,7 @@ def oracle_solve(gains: GainTable, weights, p_tot: float,
 
     best_wsr = -1.0
     best: tuple[Configuration, list[float]] | None = None
-    count = 0
     for config in enumerate_configurations(K, U, protocol):
-        count += 1
         ws, gs = [], []
         for k, l, u in config.pairs:
             ws.append(w[u])
@@ -158,4 +142,4 @@ def oracle_solve(gains: GainTable, weights, p_tot: float,
     directs_2 = [DirectAssignment(l, b, xs[off + i])
                  for i, (l, b) in enumerate(config.direct_2)]
     alloc = Allocation(pairs=pairs, directs_1=directs_1, directs_2=directs_2)
-    return OracleResult(wsr=best_wsr, allocation=alloc, enumerated=count)
+    return OracleResult(wsr=best_wsr, allocation=alloc)

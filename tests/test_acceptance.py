@@ -18,6 +18,7 @@ from ofdma_relay.dual_solver import (Protocol, SolveMode,
                                      solve, solve_lrp)
 from ofdma_relay.harness import (ExperimentSpec, run_gap_pdf,
                                  run_sweep_distance, run_validate)
+from ofdma_relay.oracle import oracle_solve
 from ofdma_relay.pair_gains import (LinkGains, effective_gain, optimal_split,
                                     snr_relay_aided)
 
@@ -89,6 +90,23 @@ def test_criterion_3():
     print(f"criterion 3: {verdict['trials']} instances, max relative "
           f"discrepancy {verdict['max_relative_discrepancy']:.3e}")
     assert verdict["pass"] is True
+
+
+@pytest.mark.parametrize("K,U,protocol", [
+    (5, 2, "proposed"), (4, 3, "proposed"), (5, 2, "bp1"), (4, 3, "bp1"),
+    (5, 3, "bp2")])
+def test_oracle_guard_edges(K, U, protocol):
+    """Criterion 3's interval at the edges of the oracle's size guard."""
+    seed = 300 + K * 10 + U
+    rng = np.random.default_rng(seed)
+    weights = tuple(float(x) for x in rng.uniform(0.8, 1.2, size=U))
+    cfg = SystemConfig(K=K, U=U, d_km=0.5, ptot_over_sigma2_db=15.0,
+                       weights=weights, seed=seed, taps=min(6, K))
+    _, gains = build_gain_table(cfg, rng)
+    _, report = solve(gains, cfg.weights, cfg.p_tot, Protocol(protocol))
+    ref = oracle_solve(gains, cfg.weights, cfg.p_tot, Protocol(protocol))
+    assert report.wsr <= ref.wsr + 1e-6
+    assert report.wsr >= ref.wsr - max(report.delta * ref.wsr, 1e-6)
 
 
 def test_criterion_4():

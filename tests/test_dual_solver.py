@@ -380,6 +380,25 @@ class TestSolve:
             assert xs == pytest.approx(_water_fill(ws, gs, cfg.p_tot),
                                        rel=1e-9, abs=1e-12 * cfg.p_tot)
 
+    def test_refill_stays_within_budget_at_low_snr(self, monkeypatch):
+        # At -100 dB, p_tot*g << 1: each refilled power is the difference
+        # of two nearly equal terms, so their sum can round above p_tot.
+        # The instance is the one `solve --k 32 --seed 3 --snr-db -100`
+        # builds.
+        rng = np.random.default_rng(3)
+        cfg = _scenario(rng, 3, 32, 5, 0.5, -100.0)
+        _, gains = build_gain_table(cfg, rng)
+        spent = []
+        real = dual_solver._refill
+
+        def spy(*args):
+            out = real(*args)
+            spent.append(float(out.power.sum()))
+            return out
+        monkeypatch.setattr(dual_solver, "_refill", spy)
+        solve(gains, cfg.weights, cfg.p_tot, Protocol.PROPOSED, refill=True)
+        assert len(spent) == 1 and spent[0] <= cfg.p_tot
+
     def test_upper_bracket_outcome_is_reused(self, monkeypatch):
         # The outcome at mu_hi was computed by the step that set mu_hi, so
         # an approx-upper-bound exit evaluates the LRP once per iteration.

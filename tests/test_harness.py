@@ -11,6 +11,7 @@ from ofdma_relay.config import ConfigError
 from ofdma_relay.harness import (CSV_COLUMNS, FIELDS, SWEEP_COLUMNS,
                                  ExperimentSpec, TrialRecord, run_gap_pdf,
                                  run_single, run_sweep_distance, run_validate)
+from ofdma_relay.oracle import MAX_K, MAX_U
 
 
 class TestExperimentSpec:
@@ -144,8 +145,11 @@ class TestValidate:
         assert all(t["audit_rejects_overrun"] for t in verdict["results"])
 
     def test_size_guard(self):
-        with pytest.raises(ConfigError):
-            run_validate(ExperimentSpec(kind="validate", K=8, U=2))
+        # The guard is the oracle's own.
+        for K, U in ((8, 2), (MAX_K + 1, 1), (1, MAX_U + 1)):
+            with pytest.raises(ConfigError,
+                               match=f"K <= {MAX_K} and U <= {MAX_U}"):
+                run_validate(ExperimentSpec(kind="validate", K=K, U=U))
 
 
 class TestRunSingle:
@@ -169,6 +173,9 @@ class TestCli:
         code = main(["validate", "--k", "3", "--users", "2", "--trials", "3",
                      "--protocol", "proposed"])
         assert code == 0
+        # The oracle's whole guard, K <= 5 and U <= 3, is accepted.
+        assert main(["validate", "--k", "5", "--users", "3", "--trials", "3",
+                     "--protocol", "bp2"]) == 0
 
     def test_json_output_is_strict(self, tmp_path, capsys, monkeypatch):
         # RFC 8259 has no Infinity, so an infinite gap (wsr 0 < slack) is
@@ -194,6 +201,19 @@ class TestCli:
         results = json.loads(validated.read_text(),
                              parse_constant=reject)["results"]
         assert [r["delta"] for r in results] == [None, None]
+
+    @pytest.mark.parametrize("argv", [
+        ("--seed", "3", "--snr-db", "-100"),
+        ("--seed", "6", "--snr-db", "-80"),
+        ("--seed", "3", "--snr-db", "-200"),
+    ])
+    def test_refill_solves_at_low_snr(self, argv, capsys):
+        # p_tot*g << 1: the refilled sum rounds above p_tot (-100, -80 dB),
+        # and no prefix passes in _water_level (-200 dB).
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        assert main(["solve", "--k", "32", "--refill", *argv]) == 0
+        json.loads(capsys.readouterr().out, parse_constant=reject)
 
     def test_validate_size_guard_is_config_error(self):
         assert main(["validate", "--k", "9"]) == 2
