@@ -27,6 +27,9 @@ LOG2E = math.log2(math.e)
 # noise-normalised units (powers over sigma^2), so the step count depends on
 # the units of the problem; ROADMAP item 2 replaces it with a relative stop.
 MU_TOL = 1e-6
+# A solve's peak memory is about 5.2 * K^2*U*8 bytes (pair-gain table and
+# per-mu scores), so K^2*U is capped: 2**26 entries is about 2.8 GB.
+MAX_PAIR_ENTRIES = 2**26
 
 
 class Protocol(Enum):
@@ -244,29 +247,33 @@ def solve_lrp(table: PairGainTable, weights, mu: float,
                       subgrad=p_tot - float((power[0] + power[1]).sum()))
 
 
-def pair_assignments(gains: GainTable, protocol: Protocol, k: np.ndarray,
-                     l: np.ndarray, u: np.ndarray,
-                     power: np.ndarray) -> list[PairAssignment]:
-    """Relay-aided pairs (k[i], l[i]) for users u[i], each split optimally."""
+def make_allocation(gains: GainTable, protocol: Protocol, pairs, directs_1,
+                    directs_2) -> Allocation:
+    """The one constructor of an Allocation, from arrays.
+
+    pairs is (k, l, user, power): relay-aided pair (k[i], l[i]) serves
+    user[i] with total power power[i], split optimally. Each slot's directs
+    is (subcarrier, user, power).
+    """
+    k, l, u, power = pairs
     s = pair_gains.optimal_split(protocol.link_gains(gains, k, l, u), power)
-    return [PairAssignment(*x) for x in zip(
-        k.tolist(), l.tolist(), u.tolist(), s.p_s1.tolist(), s.p_s2.tolist(),
-        s.p_r.tolist())]
+    return Allocation(
+        [PairAssignment(*x) for x in zip(*(a.tolist() for a in (
+            k, l, u, s.p_s1, s.p_s2, s.p_r)))],
+        *([DirectAssignment(*x) for x in zip(*(a.tolist() for a in slot))]
+          for slot in (directs_1, directs_2)))
 
 
 def _materialize(outcome: LrpOutcome, gains: GainTable,
                  protocol: Protocol) -> Allocation:
     """Turn a compact LRP solution into an explicit feasible allocation."""
-    relay = outcome.relay_mask
-    k = np.flatnonzero(relay)
-    pairs = pair_assignments(gains, protocol, k, outcome.perm[k],
-                             outcome.user[0, k], outcome.power[0, k])
-    direct = np.flatnonzero(~relay)
-    directs = [[DirectAssignment(*x) for x in zip(
-        subcarriers.tolist(), outcome.user[slot, direct].tolist(),
-        outcome.power[slot, direct].tolist())]
-        for slot, subcarriers in enumerate((direct, outcome.perm[direct]))]
-    return Allocation(pairs=pairs, directs_1=directs[0], directs_2=directs[1])
+    k = np.flatnonzero(outcome.relay_mask)
+    d = np.flatnonzero(~outcome.relay_mask)
+    return make_allocation(
+        gains, protocol,
+        (k, outcome.perm[k], outcome.user[0, k], outcome.power[0, k]),
+        (d, outcome.user[0, d], outcome.power[0, d]),
+        (outcome.perm[d], outcome.user[1, d], outcome.power[1, d]))
 
 
 def evaluate_wsr(alloc: Allocation, gains: GainTable, weights,
@@ -367,8 +374,11 @@ def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
                for g in (gains.g_sr, gains.g_su, gains.g_ru)):
         raise ValueError("gains must be finite and nonnegative")
     w = np.asarray(weights, dtype=float)
-    if w.size != gains.g_su.shape[1]:
+    K, U = gains.g_su.shape
+    if w.size != U:
         raise ValueError("weights length does not match user count")
+    if K * K * U > MAX_PAIR_ENTRIES:
+        raise ValueError(f"K={K}, U={U} exceeds K^2*U <= {MAX_PAIR_ENTRIES}")
 
     table = build_pair_gain_table(gains, protocol)
     mu_lo = 0.0

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import pair_gains
 from .channel import GainTable
-from .dual_solver import (Allocation, DirectAssignment, Protocol,
-                          pair_assignments)
+from .dual_solver import Allocation, Protocol, make_allocation
 
 MAX_K = 5
 MAX_U = 3
@@ -89,7 +88,9 @@ def _water_fill(ws: list[float], gs: list[float],
     nu = (p_tot + sum_A 1/g) / sum_A w and x_i = w_i*nu - 1/g_i. Starting
     from the live channels (g > 0), every channel with w_i*nu < 1/g_i is
     dropped and nu recomputed. Dropping only lowers nu, so a dropped
-    channel never returns and at most n passes run.
+    channel never returns and at most n passes run. When p_tot*g << 1 the
+    two terms of each power nearly cancel, so the sum can exceed p_tot by
+    rounding; it is then scaled back, as the solver's refill does.
     """
     active = [i for i, g in enumerate(gs) if g > 0]
     while active:
@@ -102,6 +103,9 @@ def _water_fill(ws: list[float], gs: list[float],
     xs = [0.0] * len(gs)
     for i in active:
         xs[i] = ws[i] * nu - 1.0 / gs[i]
+    total = sum(xs)
+    if total > p_tot:
+        xs = [x * (p_tot / total) for x in xs]
     return xs
 
 
@@ -132,14 +136,13 @@ def oracle_solve(gains: GainTable, weights, p_tot: float,
 
     assert best is not None
     config, xs = best
-    n_pairs = len(config.pairs)
+    # xs lists the pairs' powers, then slot 1's directs, then slot 2's.
+    x = np.array(xs)
+    n1 = len(config.pairs)
+    n2 = n1 + len(config.direct_1)
     k, l, u = np.array(config.pairs, dtype=int).reshape(-1, 3).T
-    pairs = pair_assignments(gains, protocol, k, l, u,
-                             np.array(xs[:n_pairs]))
-    directs_1 = [DirectAssignment(k, a, xs[n_pairs + i])
-                 for i, (k, a) in enumerate(config.direct_1)]
-    off = n_pairs + len(config.direct_1)
-    directs_2 = [DirectAssignment(l, b, xs[off + i])
-                 for i, (l, b) in enumerate(config.direct_2)]
-    alloc = Allocation(pairs=pairs, directs_1=directs_1, directs_2=directs_2)
+    d1 = np.array(config.direct_1, dtype=int).reshape(-1, 2).T
+    d2 = np.array(config.direct_2, dtype=int).reshape(-1, 2).T
+    alloc = make_allocation(gains, protocol, (k, l, u, x[:n1]),
+                            (*d1, x[n1:n2]), (*d2, x[n2:]))
     return OracleResult(wsr=best_wsr, allocation=alloc)

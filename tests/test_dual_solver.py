@@ -444,6 +444,18 @@ class TestSolve:
                 solve(dataclasses.replace(gains, **{name: bad}), cfg.weights,
                       cfg.p_tot, Protocol.PROPOSED)
 
+    def test_oversized_instance_rejected_before_table(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("the pair-gain table was built")
+        monkeypatch.setattr(dual_solver, "build_pair_gain_table", refuse)
+        K, U = 4096, 5  # K^2*U just above MAX_PAIR_ENTRIES
+        assert K * K * U > dual_solver.MAX_PAIR_ENTRIES >= K * K * (U - 1)
+        gains = GainTable(g_sr=np.ones(K), g_su=np.ones((K, U)),
+                          g_ru=np.ones((K, U)))
+        for protocol in Protocol:
+            with pytest.raises(ValueError, match="exceeds"):
+                solve(gains, np.ones(U), 1.0, protocol)
+
     def test_huge_distance_is_a_dead_relay(self):
         # The relay-user distance overflows to inf, which is zero gain.
         with warnings.catch_warnings():

@@ -41,6 +41,8 @@ class TestExperimentSpec:
         dict(kind="sweep", sweep=(0.3, -0.5)),
         dict(kind="sweep", sweep=(0.3, 0)), dict(kind="solve", d_km=0.0),
         dict(kind="solve", d_km=-1),
+        dict(kind="solve", K=8192), dict(kind="sweep", sweep=(0.5,), K=4096),
+        dict(kind="solve", K=4096, U=5), dict(U=5000),
     ])
     def test_invalid_rejected(self, kw):
         base = dict(kind="gap-pdf")
@@ -48,6 +50,12 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError) as exc:
             ExperimentSpec(**base)
         assert "does not read" not in str(exc.value)
+
+    def test_size_limit_accepts_up_to_max_pair_entries(self):
+        # K^2*U <= 2**26; gap-pdf solves K up to 128, so U up to 4096.
+        for kw in (dict(kind="solve", K=2048, U=5),
+                   dict(kind="solve", K=4096, U=4), dict(U=4096)):
+            ExperimentSpec(**{"kind": "gap-pdf", **kw})
 
     def test_unread_field_or_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="gap-pdf does not read K"):
@@ -144,6 +152,14 @@ class TestValidate:
         assert verdict["trials"] == 6
         assert all(t["audit_rejects_overrun"] for t in verdict["results"])
 
+    def test_audit_that_accepts_overrun_fails_validation(self, monkeypatch):
+        monkeypatch.setattr(harness, "evaluate_wsr", lambda *args: 0.0)
+        verdict = run_validate(ExperimentSpec(kind="validate", trials=2, K=3,
+                                              U=2, seed=1))
+        assert verdict["pass"] is False
+        assert not any(t["audit_rejects_overrun"]
+                       for t in verdict["results"])
+
     def test_size_guard(self):
         # The guard is the oracle's own.
         for K, U in ((8, 2), (MAX_K + 1, 1), (1, MAX_U + 1)):
@@ -217,6 +233,17 @@ class TestCli:
 
     def test_validate_size_guard_is_config_error(self):
         assert main(["validate", "--k", "9"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--k", "8192"], ["sweep", "--k", "4096", "--d-list", "0.5"],
+        ["gap-pdf", "--users", "5000"]])
+    def test_oversized_input_is_config_error(self, argv, monkeypatch):
+        # Rejected before any gain or pair table of that size is built.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("an oversized instance reached the solver")
+        monkeypatch.setattr(harness, "build_gain_table", refuse)
+        monkeypatch.setattr(harness, "solve", refuse)
+        assert main(argv) == 2
 
     def test_bad_trials_is_config_error(self):
         assert main(["gap-pdf", "--trials", "0"]) == 2

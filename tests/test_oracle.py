@@ -83,6 +83,7 @@ class TestWaterFill:
         # on ten equal channels it is a few 1e-9 of p_tot.
         rounding = 4 * np.finfo(float).eps * sum(1.0 / gs[i] for i in active)
         assert sum(xs) == pytest.approx(p_tot, rel=1e-9, abs=rounding)
+        assert sum(xs) <= p_tot * (1 + 1e-12)
         # Marginal utility w*g/(1 + g*x) is one level on the active
         # channels, and no higher at zero power on the inactive live ones.
         marginal = [ws[i] * gs[i] / (1.0 + gs[i] * xs[i]) for i in active]
@@ -124,6 +125,32 @@ class TestOracleSolve:
         wsr = evaluate_wsr(res.allocation, gains, cfg.weights, protocol,
                            cfg.p_tot)
         assert wsr == pytest.approx(res.wsr, rel=1e-9)
+
+    @pytest.mark.parametrize("db", [-80.0, -100.0])
+    def test_allocation_passes_audit_at_low_snr(self, db):
+        # p_tot*g << 1: the two terms of each power nearly cancel, so the
+        # unscaled fill overshoots p_tot by up to 8e-8 relative here.
+        for seed in (3, 11, 15, 17, 18):
+            cfg = SystemConfig(K=5, U=1, d_km=0.5, ptot_over_sigma2_db=db,
+                               weights=(1.0,), seed=seed, taps=5)
+            _, gains = build_gain_table(cfg, np.random.default_rng(seed))
+            res = oracle_solve(gains, cfg.weights, cfg.p_tot,
+                               Protocol.BENCHMARK2)
+            assert res.allocation.total_power() <= cfg.p_tot * (1 + 1e-12)
+            evaluate_wsr(res.allocation, gains, cfg.weights,
+                         Protocol.BENCHMARK2, cfg.p_tot)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_all_pairs_allocation_passes_audit(self, protocol):
+        # At K=1 the optimum here is one relay-aided pair and no directs.
+        cfg, gains = random_instance(6, K=1, U=2)
+        res = oracle_solve(gains, cfg.weights, cfg.p_tot, protocol)
+        alloc, report = solve(gains, cfg.weights, cfg.p_tot, protocol)
+        for a in (res.allocation, alloc):
+            assert len(a.pairs) == 1 and not a.directs_1 and not a.directs_2
+        assert evaluate_wsr(res.allocation, gains, cfg.weights, protocol,
+                            cfg.p_tot) == pytest.approx(res.wsr, rel=1e-9)
+        assert report.wsr <= res.wsr + 1e-6
 
     def test_user_relabeling_invariance(self):
         from ofdma_relay.channel import GainTable
