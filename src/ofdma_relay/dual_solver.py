@@ -363,9 +363,8 @@ def _refill(outcome: LrpOutcome, weights, p_tot: float) -> LrpOutcome:
     return replace(outcome, power=power)
 
 
-def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
-          refill: bool = False) -> tuple[Allocation, SolveReport]:
-    """Full bisection solve; returns a feasible allocation and its report."""
+def check_inputs(gains: GainTable, weights, p_tot: float) -> np.ndarray:
+    """The weights as an array; raises ValueError on an invalid input."""
     if p_tot <= 0:
         raise ValueError(f"p_tot must be positive, got {p_tot}")
     if gains.g_sr.size < 1:
@@ -374,9 +373,18 @@ def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
                for g in (gains.g_sr, gains.g_su, gains.g_ru)):
         raise ValueError("gains must be finite and nonnegative")
     w = np.asarray(weights, dtype=float)
-    K, U = gains.g_su.shape
-    if w.size != U:
+    if w.size != gains.g_su.shape[1]:
         raise ValueError("weights length does not match user count")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must be finite and positive")
+    return w
+
+
+def solve(gains: GainTable, weights, p_tot: float, protocol: Protocol,
+          refill: bool = False) -> tuple[Allocation, SolveReport]:
+    """Full bisection solve; returns a feasible allocation and its report."""
+    w = check_inputs(gains, weights, p_tot)
+    K, U = gains.g_su.shape
     if K * K * U > MAX_PAIR_ENTRIES:
         raise ValueError(f"K={K}, U={U} exceeds K^2*U <= {MAX_PAIR_ENTRIES}")
 

@@ -1,5 +1,13 @@
 import re
 
+from hypothesis import settings
+
+# Every run draws the same examples: no random seed, no replay of saved
+# failures, and no per-example deadline for a loaded machine to trip.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
+
 ACCEPTANCE_LABELS = {
     1: "gap certificate below 3% on every epsilon-branch exit",
     2: "bisection iteration bounds (28 overall; 20 at 20 dB; 12 at 45 dB)",

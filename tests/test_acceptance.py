@@ -94,7 +94,7 @@ def test_criterion_3():
 
 @pytest.mark.parametrize("K,U,protocol", [
     (5, 2, "proposed"), (4, 3, "proposed"), (5, 2, "bp1"), (4, 3, "bp1"),
-    (5, 3, "bp2")])
+    (5, 3, "proposed"), (5, 3, "bp1"), (5, 3, "bp2")])
 def test_oracle_guard_edges(K, U, protocol):
     """Criterion 3's interval at the edges of the oracle's size guard."""
     seed = 300 + K * 10 + U

@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from ofdma_relay import dual_solver
@@ -16,7 +19,7 @@ from ofdma_relay.dual_solver import (LOG2E, InfeasibleAllocationError,
                                      build_pair_gain_table, evaluate_wsr,
                                      lrp_metrics, mu_upper_bound, solve,
                                      solve_lrp)
-from ofdma_relay.oracle import _water_fill, enumerate_configurations
+from ofdma_relay.oracle import _water_fill, pairings
 
 
 def random_gains(seed: int, K: int, U: int, d_km: float = 0.5,
@@ -204,17 +207,21 @@ class TestSolveLrp:
         pair_gain = {(k, l, u): table.g_eff[k, j, u]
                      for k in range(2) for j, l in enumerate(table.cols[k])
                      for u in range(1)}
+        # bp2 serves both slots of a direct subcarrier to one user.
+        shared = protocol is Protocol.BENCHMARK2
         for mu in (0.02, 0.2, 2.0):
             best = -math.inf
-            for config in enumerate_configurations(2, 1, protocol):
-                val = 0.0
-                for k, l, u in config.pairs:
-                    val += channel_score(w[u], pair_gain[k, l, u], mu)
-                for k, a in config.direct_1:
-                    val += channel_score(w[a], gains.g_su[k, a], mu)
-                for l, b in config.direct_2:
-                    val += channel_score(w[b], gains.g_su[l, b], mu)
-                best = max(best, val)
+            for pk, pl, d1, d2 in pairings(2, protocol):
+                n = len(pk) + len(d1) + (0 if shared else len(d2))
+                for users in itertools.product(range(1), repeat=n):
+                    if shared:
+                        users += users[len(pk):]
+                    val = 0.0
+                    for (k, l), u in zip(zip(pk, pl), users):
+                        val += channel_score(w[u], pair_gain[k, l, u], mu)
+                    for sc, u in zip(d1 + d2, users[len(pk):]):
+                        val += channel_score(w[u], gains.g_su[sc, u], mu)
+                    best = max(best, val)
             out = solve_lrp(table, w, mu, cfg.p_tot)
             assert out.l_value == pytest.approx(mu * cfg.p_tot + best,
                                                 abs=1e-7)
@@ -377,7 +384,8 @@ class TestSolve:
                     gs.append(gains.g_su[sc, u])
                     xs.append(out.power[slot, k])
             assert 0.0 in gs
-            assert xs == pytest.approx(_water_fill(ws, gs, cfg.p_tot),
+            ref = _water_fill(np.array([ws]), np.array([gs]), cfg.p_tot)[0]
+            assert xs == pytest.approx(ref.tolist(),
                                        rel=1e-9, abs=1e-12 * cfg.p_tot)
 
     def test_refill_stays_within_budget_at_low_snr(self, monkeypatch):
@@ -430,12 +438,40 @@ class TestSolve:
                 _, r_moved = solve(moved, w[us], cfg.p_tot, protocol)
                 assert r_moved.wsr == pytest.approx(r.wsr, rel=1e-12)
 
+    @given(st.integers(1, 32), st.integers(1, 5), st.floats(0.0, 45.0),
+           st.integers(0, 2**16), st.sampled_from(list(Protocol)), st.data())
+    def test_user_relabelling_property(self, K, U, db, seed, protocol, data):
+        cfg, gains = random_gains(seed, K=K, U=U, db=db)
+        us = np.array(data.draw(st.permutations(range(U))))
+        moved = GainTable(g_sr=gains.g_sr, g_su=gains.g_su[:, us],
+                          g_ru=gains.g_ru[:, us])
+        w = np.asarray(cfg.weights)
+        _, r = solve(gains, w, cfg.p_tot, protocol)
+        _, r_moved = solve(moved, w[us], cfg.p_tot, protocol)
+        assert r_moved.wsr == pytest.approx(r.wsr, rel=1e-12)
+
+    @given(st.integers(1, 32), st.integers(1, 5), st.floats(0.0, 45.0),
+           st.integers(0, 2**16), st.sampled_from(list(Protocol)), st.data())
+    def test_subcarrier_relabelling_property(self, K, U, db, seed, protocol,
+                                             data):
+        cfg, gains = random_gains(seed, K=K, U=U, db=db)
+        sc = np.array(data.draw(st.permutations(range(K))))
+        moved = GainTable(g_sr=gains.g_sr[sc], g_su=gains.g_su[sc],
+                          g_ru=gains.g_ru[sc])
+        _, r = solve(gains, cfg.weights, cfg.p_tot, protocol)
+        _, r_moved = solve(moved, cfg.weights, cfg.p_tot, protocol)
+        assert r_moved.wsr == pytest.approx(r.wsr, rel=1e-12)
+
     def test_input_validation(self):
         cfg, gains = random_gains(15, K=4, U=2)
         with pytest.raises(ValueError):
             solve(gains, cfg.weights, 0.0, Protocol.PROPOSED)
         with pytest.raises(ValueError):
             solve(gains, (1.0,), cfg.p_tot, Protocol.PROPOSED)
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            for protocol in Protocol:
+                with pytest.raises(ValueError, match="finite and positive"):
+                    solve(gains, (bad, 1.0), cfg.p_tot, protocol)
         for name, value in (("g_su", -1e-3), ("g_ru", np.nan),
                             ("g_sr", np.inf)):
             bad = getattr(gains, name).copy()
