@@ -7,10 +7,13 @@ paper's system model fixes the user region, the path-loss exponent and its
 reference distance, so they are module constants, not scenario fields.
 
 Random numbers come from an explicitly passed ``numpy.random.Generator``
-(PCG64, 64-bit seed). Draw order is fixed so results are reproducible:
-geometry first (two uniforms per user), then one impulse response per link in
-the order source->relay, source->user for u = 0..U-1, relay->user for
-u = 0..U-1. Gaussians are produced by Box-Muller from uniform draws.
+(PCG64, 64-bit seed). Draw order is fixed so results are reproducible. A
+trial makes two draws: geometry first (U radius uniforms, then U angle
+uniforms), then one array of uniforms for every link's impulse response, in
+the link order source->relay, source->user for u = 0..U-1, relay->user for
+u = 0..U-1. Within a link come the real parts, then the imaginary parts; each
+is ceil(L/2) Box-Muller pairs, drawn as the pairs' u1 values, then their u2
+values. One FFT turns all links' taps into per-subcarrier gains.
 """
 from __future__ import annotations
 
@@ -47,24 +50,12 @@ class GainTable:
     g_ru: np.ndarray   # (K, U)
 
 
-def _box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normal draws via Box-Muller (2 uniforms per pair)."""
-    m = (n + 1) // 2
-    u1 = rng.random(m)
-    u2 = rng.random(m)
-    r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], so the log is finite
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2),
-                        r * np.sin(2.0 * np.pi * u2)])
-    return z[:n]
-
-
 def sample_geometry(cfg: SystemConfig, rng: np.random.Generator) -> Geometry:
     """Place the relay and draw user positions uniformly over the disk."""
     relay = np.array([cfg.d_km, 0.0])
     center = np.array([CENTER_KM, 0.0])
     # Area-uniform disk sampling: radius = R*sqrt(u1), angle = 2*pi*u2.
-    u1 = rng.random(cfg.U)
-    u2 = rng.random(cfg.U)
+    u1, u2 = rng.random((2, cfg.U))
     radius = REGION_RADIUS_KM * np.sqrt(u1)
     angle = 2.0 * np.pi * u2
     users = center + np.stack([radius * np.cos(angle),
@@ -77,38 +68,41 @@ def sample_geometry(cfg: SystemConfig, rng: np.random.Generator) -> Geometry:
     return Geometry(relay_pos=relay, user_pos=users, d_su=d_su, d_ru=d_ru)
 
 
-def sample_impulse_response(distance_km: float, cfg: SystemConfig,
+def sample_impulse_response(distances_km: list[float], cfg: SystemConfig,
                             rng: np.random.Generator) -> np.ndarray:
-    """L complex taps of per-tap variance (1/L)*(d/D_REF_KM)^-PATHLOSS_EXP."""
-    d = max(distance_km, MIN_DISTANCE_KM)
-    var = (d / D_REF_KM) ** (-PATHLOSS_EXP) / cfg.taps
+    """(n, L) complex taps, one row per link, of per-tap variance
+    (1/L)*(d/D_REF_KM)^-PATHLOSS_EXP for that link's distance d."""
+    L = cfg.taps
+    # Axes: link, re/im, u1/u2, pair. C order is the order in which drawing
+    # each link's re then im parts, u1 then u2 of each, would consume them.
+    u = rng.random((len(distances_km), 2, 2, (L + 1) // 2))
+    r = np.sqrt(-2.0 * np.log1p(-u[:, :, 0]))  # 1 - u1 in (0, 1]: finite log
+    theta = 2.0 * np.pi * u[:, :, 1]
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)],
+                       axis=-1)[..., :L]
+    # Scalar pow per link: numpy's vectorized ** can differ in the last ulp.
+    var = np.array([(max(d, MIN_DISTANCE_KM) / D_REF_KM) ** (-PATHLOSS_EXP)
+                    for d in distances_km]) / L
     # Real/imag parts are independent zero-mean Gaussians of variance var/2.
-    re = _box_muller(rng, cfg.taps)
-    im = _box_muller(rng, cfg.taps)
-    return np.sqrt(var / 2.0) * (re + 1j * im)
+    return np.sqrt(var / 2.0)[:, None] * (z[:, 0] + 1j * z[:, 1])
 
 
 def taps_to_subcarrier_gains(taps: np.ndarray, K: int) -> np.ndarray:
-    """|h_k|^2 for the K-point DFT of the impulse response."""
+    """|h_k|^2 for the K-point DFT of each impulse response (last axis)."""
     taps = np.asarray(taps)
-    if taps.size > K:
-        raise ValueError(f"impulse response longer than K ({taps.size} > {K})")
-    h = np.fft.fft(taps, n=K)
-    return np.abs(h) ** 2
+    if taps.shape[-1] > K:
+        raise ValueError(
+            f"impulse response longer than K ({taps.shape[-1]} > {K})")
+    return np.abs(np.fft.fft(taps, n=K)) ** 2
 
 
 def build_gain_table(cfg: SystemConfig,
                      rng: np.random.Generator) -> tuple[Geometry, GainTable]:
     """Draw geometry, then one independent impulse response per link."""
     geo = sample_geometry(cfg, rng)
-    g_sr = taps_to_subcarrier_gains(
-        sample_impulse_response(cfg.d_km, cfg, rng), cfg.K)
-    g_su = np.stack([
-        taps_to_subcarrier_gains(
-            sample_impulse_response(geo.d_su[u], cfg, rng), cfg.K)
-        for u in range(cfg.U)], axis=1)
-    g_ru = np.stack([
-        taps_to_subcarrier_gains(
-            sample_impulse_response(geo.d_ru[u], cfg, rng), cfg.K)
-        for u in range(cfg.U)], axis=1)
-    return geo, GainTable(g_sr=g_sr, g_su=g_su, g_ru=g_ru)
+    gains = taps_to_subcarrier_gains(sample_impulse_response(
+        [cfg.d_km, *geo.d_su, *geo.d_ru], cfg, rng), cfg.K)
+    U = cfg.U
+    # Copies keep g_su and g_ru C-ordered (K, U), as downstream code has them.
+    return geo, GainTable(g_sr=gains[0], g_su=gains[1:U + 1].T.copy(),
+                          g_ru=gains[U + 1:].T.copy())

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ofdma_relay import channel
-from ofdma_relay.channel import (CENTER_KM, MIN_DISTANCE_KM, REGION_RADIUS_KM,
+from ofdma_relay.channel import (CENTER_KM, D_REF_KM, MIN_DISTANCE_KM,
+                                 PATHLOSS_EXP, REGION_RADIUS_KM,
                                  build_gain_table, sample_geometry,
                                  sample_impulse_response,
                                  taps_to_subcarrier_gains)
@@ -68,21 +69,21 @@ class TestImpulseResponse:
     def test_reference_distance_energy_is_one(self):
         cfg = make_cfg()
         rng = np.random.default_rng(4)
-        energies = [np.sum(np.abs(sample_impulse_response(1.0, cfg, rng)) ** 2)
-                    for _ in range(50_000)]
+        taps = sample_impulse_response([1.0] * 50_000, cfg, rng)
+        energies = np.sum(np.abs(taps) ** 2, axis=1)
         assert np.mean(energies) == pytest.approx(1.0, rel=0.02)
 
     def test_pathloss_scaling_at_half_km(self):
         cfg = make_cfg()
         rng = np.random.default_rng(5)
-        energies = [np.sum(np.abs(sample_impulse_response(0.5, cfg, rng)) ** 2)
-                    for _ in range(100_000)]
+        taps = sample_impulse_response([0.5] * 100_000, cfg, rng)
+        energies = np.sum(np.abs(taps) ** 2, axis=1)
         assert np.mean(energies) == pytest.approx(0.5 ** -2.5, rel=0.02)
 
     def test_near_field_clamp(self):
         cfg = make_cfg()
-        taps_a = sample_impulse_response(0.0, cfg, np.random.default_rng(6))
-        taps_b = sample_impulse_response(MIN_DISTANCE_KM, cfg,
+        taps_a = sample_impulse_response([0.0], cfg, np.random.default_rng(6))
+        taps_b = sample_impulse_response([MIN_DISTANCE_KM], cfg,
                                          np.random.default_rng(6))
         np.testing.assert_array_equal(taps_a, taps_b)
 
@@ -103,12 +104,67 @@ class TestSubcarrierGains:
         assert gains.sum() / 64 == pytest.approx(
             np.sum(np.abs(taps) ** 2), rel=1e-10)
 
+    def test_stack_matches_row_by_row(self):
+        rng = np.random.default_rng(9)
+        taps = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+        rows = [taps_to_subcarrier_gains(row, 16) for row in taps]
+        np.testing.assert_array_equal(taps_to_subcarrier_gains(taps, 16),
+                                      np.stack(rows))
+
     def test_too_many_taps_rejected(self):
-        with pytest.raises(ValueError):
-            taps_to_subcarrier_gains(np.ones(8), 4)
+        for shape in [(8,), (3, 8)]:
+            with pytest.raises(ValueError):
+                taps_to_subcarrier_gains(np.ones(shape), 4)
+
+
+def per_link_reference(cfg, rng):
+    """The gain table drawn one link at a time, independently of the module:
+    geometry, then for each link in the order sr, su[0..U-1], ru[0..U-1] two
+    Box-Muller draws (real, imaginary) of ceil(L/2) pairs, a scalar pow for
+    its variance and one FFT."""
+    def normals(n):
+        m = (n + 1) // 2
+        u1 = rng.random(m)
+        u2 = rng.random(m)
+        r = np.sqrt(-2.0 * np.log1p(-u1))
+        return np.concatenate([r * np.cos(2.0 * np.pi * u2),
+                               r * np.sin(2.0 * np.pi * u2)])[:n]
+
+    def link(d):
+        d = max(d, MIN_DISTANCE_KM)
+        var = (d / D_REF_KM) ** (-PATHLOSS_EXP) / cfg.taps
+        re = normals(cfg.taps)
+        im = normals(cfg.taps)
+        taps = np.sqrt(var / 2.0) * (re + 1j * im)
+        return np.abs(np.fft.fft(taps, n=cfg.K)) ** 2
+
+    u1 = rng.random(cfg.U)
+    u2 = rng.random(cfg.U)
+    radius = REGION_RADIUS_KM * np.sqrt(u1)
+    angle = 2.0 * np.pi * u2
+    users = np.array([CENTER_KM, 0.0]) + np.stack(
+        [radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    with np.errstate(over="ignore"):
+        d_su = np.linalg.norm(users, axis=1)
+        d_ru = np.linalg.norm(users - np.array([cfg.d_km, 0.0]), axis=1)
+    return (link(cfg.d_km), np.stack([link(d) for d in d_su], axis=1),
+            np.stack([link(d) for d in d_ru], axis=1))
 
 
 class TestGainTable:
+    def test_matches_per_link_reference(self):
+        # Pins the random stream and every gain bit, not just determinism.
+        grid = [(K, taps, U, d_km) for K in (1, 2, 5, 6, 7, 64)
+                for taps in range(1, min(6, K) + 1) for U in (1, 3, 8)
+                for d_km in (1e-9, 0.5, 1e300)]
+        for seed, (K, taps, U, d_km) in enumerate(grid):
+            cfg = make_cfg(K=K, U=U, d_km=d_km, taps=taps,
+                           weights=(1.0,) * U, seed=seed)
+            _, table = build_gain_table(cfg, np.random.default_rng(seed))
+            ref = per_link_reference(cfg, np.random.default_rng(seed))
+            for got, want in zip((table.g_sr, table.g_su, table.g_ru), ref):
+                np.testing.assert_array_equal(got, want)
+
     def test_deterministic_for_fixed_seed(self):
         cfg = make_cfg()
         geo1, t1 = build_gain_table(cfg, np.random.default_rng(cfg.seed))
